@@ -16,14 +16,14 @@ import sys
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import atomic_write_bytes, decode_labels
 from .core import DataError, EmbeddingSet, normalize_rows
 from .evaluate import (
     OUT_OF_GALLERY,
     SplitSpec,
     StrategyConfig,
+    _build_for,
     default_bench_matrix,
-    index_labels,
     make_split,
     reports_to_json,
     reports_to_tsv,
@@ -31,11 +31,9 @@ from .evaluate import (
     search_any,
     synthetic_gallery,
 )
-from .flat import FlatIndex, flat_build
+from .flat import FlatIndex
 from .fvb import default_labels_path, read_embeddings, write_embeddings
 from .gallery import FusionStrategy, clean_gallery, fuse_sets
-from .ivf_flat import ivf_flat_build
-from .ivf_pq import ivf_pq_build
 from .vidx import load_index, save_index
 
 __all__ = ["main"]
@@ -107,7 +105,7 @@ def _read_csv(path: str) -> np.ndarray:
 
 def _read_label_file(path: str, count: int) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
-        labels = fh.read().splitlines()
+        labels = decode_labels(fh.read())
     if len(labels) != count:
         raise DataError(f"{path} has {len(labels)} labels for {count} vectors")
     return labels
@@ -143,19 +141,15 @@ def cmd_build(args) -> int:
     if args.kind == "flat":
         if args.nlist is not None or args.m is not None:
             raise UsageError("flat indexes take neither --nlist nor --m")
-        index = flat_build(base)
     elif args.kind == "ivf_flat":
         if args.nlist is None:
             raise UsageError("ivf_flat requires --nlist")
         if args.m is not None:
             raise UsageError("ivf_flat takes no --m")
-        index = ivf_flat_build(base, args.nlist, seed=args.seed, max_iters=args.max_iters)
-    else:
-        if args.nlist is None or args.m is None:
-            raise UsageError("ivf_pq requires --nlist and --m")
-        index = ivf_pq_build(
-            base, args.nlist, args.m, seed=args.seed, max_iters=args.max_iters
-        )
+    elif args.nlist is None or args.m is None:
+        raise UsageError("ivf_pq requires --nlist and --m")
+    config = StrategyConfig(kind=args.kind, nlist=args.nlist, m=args.m, seed=args.seed)
+    index = _build_for(config, base, max_iters=args.max_iters)
     save_index(index, args.out)
     print(f"built {args.kind} index over {base.count} x {base.dim} -> {args.out}")
     return 0
@@ -171,7 +165,7 @@ def cmd_search(args) -> int:
     results = search_any(
         index, queries, k=args.k, nprobe=args.nprobe, threads=_resolve_threads(args)
     )
-    labels = index_labels(index)
+    labels = index.labels
     lines = ["query_idx\trank\tid\tlabel\tdist\n"]
     for qi, result in enumerate(results):
         for rank, (vid, dist) in enumerate(result.entries(), start=1):

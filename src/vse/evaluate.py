@@ -30,7 +30,6 @@ __all__ = [
     "make_split",
     "top1_identify",
     "search_any",
-    "index_labels",
     "run_benchmark",
     "synthetic_gallery",
     "default_bench_matrix",
@@ -140,14 +139,6 @@ def make_split(source: EmbeddingSet, spec: SplitSpec) -> Split:
     )
 
 
-def index_labels(index) -> list[str]:
-    if isinstance(index, FlatIndex):
-        return index.base.labels
-    if isinstance(index, (IvfFlatIndex, IvfPqIndex)):
-        return index.labels
-    raise DataError(f"unsupported index type {type(index).__name__}")
-
-
 def search_any(index, queries, k: int, nprobe: int | None = None, threads: int = 1) -> list[SearchResult]:
     """Dispatch a search to whichever index kind this is."""
     if isinstance(index, FlatIndex):
@@ -159,20 +150,24 @@ def search_any(index, queries, k: int, nprobe: int | None = None, threads: int =
     raise DataError(f"unsupported index type {type(index).__name__}")
 
 
-def top1_identify(index, probe, threshold: float | None = None, nprobe: int | None = None) -> str:
-    """Label of the nearest gallery vector; REJECT when past the threshold.
+def _top1_label(index, result: SearchResult, threshold: float | None) -> str:
+    """The top-1 decision on one k>=1 search result.
 
     With no threshold the decision is closed-set: the nearest label wins
     however far it is. An approximate index that probes only empty lists
     returns REJECT (it claims no neighbor).
     """
-    results = search_any(index, probe, k=1, nprobe=nprobe)
-    result = results[0]
     if result.ids.shape[0] == 0:
         return REJECT
     if threshold is not None and float(result.dists[0]) > threshold:
         return REJECT
-    return index_labels(index)[int(result.ids[0])]
+    return index.labels[int(result.ids[0])]
+
+
+def top1_identify(index, probe, threshold: float | None = None, nprobe: int | None = None) -> str:
+    """Label of the nearest gallery vector; REJECT when past the threshold."""
+    result = search_any(index, probe, k=1, nprobe=nprobe)[0]
+    return _top1_label(index, result, threshold)
 
 
 @dataclass(frozen=True)
@@ -207,12 +202,14 @@ class EvalReport:
     per_query_time: float
 
 
-def _build_for(config: StrategyConfig, gallery: EmbeddingSet):
+def _build_for(config: StrategyConfig, gallery: EmbeddingSet, max_iters: int = 25):
     if config.kind == "flat":
         return flat_build(gallery)
     if config.kind == "ivf_flat":
-        return ivf_flat_build(gallery, config.nlist, seed=config.seed)
-    return ivf_pq_build(gallery, config.nlist, config.m, seed=config.seed)
+        return ivf_flat_build(gallery, config.nlist, seed=config.seed, max_iters=max_iters)
+    return ivf_pq_build(
+        gallery, config.nlist, config.m, seed=config.seed, max_iters=max_iters
+    )
 
 
 def _accuracies(
@@ -267,15 +264,7 @@ def run_benchmark(
             results = search_any(index, probes, k=1, nprobe=nprobe, threads=threads)
             times.append(time.perf_counter() - t0)
         total_s = float(np.median(times))
-        labels = index_labels(index)
-        predicted = []
-        for r in results:
-            if r.ids.shape[0] == 0:
-                predicted.append(REJECT)
-            elif threshold is not None and float(r.dists[0]) > threshold:
-                predicted.append(REJECT)
-            else:
-                predicted.append(labels[int(r.ids[0])])
+        predicted = [_top1_label(index, r, threshold) for r in results]
         closed, open_acc = _accuracies(predicted, truth, threshold)
         reports.append(
             EvalReport(

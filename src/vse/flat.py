@@ -33,6 +33,10 @@ class FlatIndex:
     def labels(self) -> list[str]:
         return self.base.labels
 
+    @property
+    def normalized(self) -> bool:
+        return self.base.normalized
+
 
 def flat_build(base: EmbeddingSet) -> FlatIndex:
     """Index the whole set. No training, no copies beyond the set itself."""

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import atomic_write_bytes, decode_labels, encode_labels
 from .core import DataError, EmbeddingSet
 
 __all__ = ["FvbFormatError", "read_embeddings", "write_embeddings", "default_labels_path"]
@@ -38,18 +38,13 @@ def default_labels_path(path: str) -> str:
 
 def write_embeddings(embeddings: EmbeddingSet, path: str, labels_path: str | None = None) -> None:
     """Write an FVB file and its labels sidecar atomically."""
-    for i, label in enumerate(embeddings.labels):
-        if "\n" in label or "\r" in label:
-            raise DataError(f"label {i} contains a line break and cannot be stored")
+    labels = encode_labels(embeddings.labels)
     header = _HEADER.pack(
         _MAGIC, _VERSION, embeddings.dim, embeddings.count, int(embeddings.normalized)
     )
     payload = np.ascontiguousarray(embeddings.vectors, dtype="<f4").tobytes()
     atomic_write_bytes(path, header + payload)
-    text = "".join(label + "\n" for label in embeddings.labels)
-    atomic_write_bytes(
-        labels_path or default_labels_path(path), text.encode("utf-8")
-    )
+    atomic_write_bytes(labels_path or default_labels_path(path), labels)
 
 
 def read_embeddings(path: str, labels_path: str | None = None) -> EmbeddingSet:
@@ -90,7 +85,7 @@ def read_embeddings(path: str, labels_path: str | None = None) -> EmbeddingSet:
         )
     lpath = labels_path or default_labels_path(path)
     with open(lpath, "r", encoding="utf-8") as fh:
-        labels = fh.read().splitlines()
+        labels = decode_labels(fh.read())
     if len(labels) != count:
         raise FvbFormatError(
             f"labels file {lpath} has {len(labels)} lines, vector count is {count}"

@@ -35,6 +35,21 @@ def split_posting_lists(labels: np.ndarray, nlist: int) -> list[np.ndarray]:
     return [np.flatnonzero(labels == j).astype(np.int64) for j in range(nlist)]
 
 
+def check_posting_lists(index, payloads: tuple[np.ndarray, ...]) -> None:
+    """One list per coarse centroid, covering every labeled row; then freeze them.
+
+    `payloads` is the index's list_vectors or list_codes, one row per id.
+    """
+    if len(index.list_ids) != index.coarse.k or len(payloads) != index.coarse.k:
+        raise DataError("posting list count does not match nlist")
+    total = sum(ids.shape[0] for ids in index.list_ids)
+    if total != len(index.labels):
+        raise DataError("posting lists do not cover exactly the labeled vectors")
+    for ids, payload in zip(index.list_ids, payloads):
+        ids.setflags(write=False)
+        payload.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class IvfFlatIndex:
     coarse: Codebook
@@ -44,14 +59,7 @@ class IvfFlatIndex:
     normalized: bool
 
     def __post_init__(self) -> None:
-        if len(self.list_ids) != self.coarse.k or len(self.list_vectors) != self.coarse.k:
-            raise DataError("posting list count does not match nlist")
-        total = sum(ids.shape[0] for ids in self.list_ids)
-        if total != len(self.labels):
-            raise DataError("posting lists do not cover exactly the labeled vectors")
-        for ids, vecs in zip(self.list_ids, self.list_vectors):
-            ids.setflags(write=False)
-            vecs.setflags(write=False)
+        check_posting_lists(self, self.list_vectors)
 
     @property
     def nlist(self) -> int:
@@ -85,12 +93,14 @@ def ivf_flat_build(base: EmbeddingSet, nlist: int, seed: int = 0, max_iters: int
     )
 
 
-def ivf_flat_search(
-    index: IvfFlatIndex, queries, k: int, nprobe: int | None = None, threads: int = 1
+def ivf_search(
+    index, queries, k: int, nprobe: int | None, threads: int, score_list, exact: bool
 ) -> list[SearchResult]:
-    """Scan the nprobe nearest lists, rank candidates by exact distance.
+    """The query loop of both IVF kinds: probe, score the probed lists, take top-k.
 
-    Fewer than k candidates in the probed lists returns the short list.
+    `score_list(query, c)` returns one distance per entry of posting list c;
+    it is the only step that differs between ivf_flat and ivf_pq. `exact`
+    says the scores are true distances, so probing every list is exact.
     """
     q = query_matrix(queries, index.dim)
     if k < 1:
@@ -99,16 +109,28 @@ def ivf_flat_search(
         nprobe = default_nprobe(index.nlist)
     if not 1 <= nprobe <= index.nlist:
         raise DataError(f"nprobe must be in [1, {index.nlist}], got {nprobe}")
-    exhaustive = nprobe == index.nlist
+    approximate = not (exact and nprobe == index.nlist)
 
     def worker(i: int) -> SearchResult:
         probes = probe_order(index.coarse, q[i], nprobe)
-        cand_ids = [index.list_ids[c] for c in probes]
-        cand_dists = [squared_l2_batch(index.list_vectors[c], q[i]) for c in probes]
-        ids = np.concatenate(cand_ids) if cand_ids else np.empty(0, dtype=np.int64)
-        dists = np.concatenate(cand_dists) if cand_dists else np.empty(0)
+        ids = np.concatenate([index.list_ids[c] for c in probes])
+        dists = np.concatenate([score_list(q[i], c) for c in probes])
         kk = min(k, ids.shape[0])
         ids_k, d_k = top_k_smallest(dists, ids, kk) if kk else (ids, dists)
-        return SearchResult(ids=ids_k, dists=d_k, approximate=not exhaustive)
+        return SearchResult(ids=ids_k, dists=d_k, approximate=approximate)
 
     return run_per_query(q.shape[0], threads, worker)
+
+
+def ivf_flat_search(
+    index: IvfFlatIndex, queries, k: int, nprobe: int | None = None, threads: int = 1
+) -> list[SearchResult]:
+    """Scan the nprobe nearest lists, rank candidates by exact distance.
+
+    Fewer than k candidates in the probed lists returns the short list.
+    """
+
+    def score_list(query: np.ndarray, c: int) -> np.ndarray:
+        return squared_l2_batch(index.list_vectors[c], query)
+
+    return ivf_search(index, queries, k, nprobe, threads, score_list, exact=True)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, SearchResult, squared_l2_batch, top_k_smallest
-from .flat import query_matrix, run_per_query
-from .ivf_flat import probe_order, split_posting_lists
+from .core import DataError, EmbeddingSet, SearchResult, squared_l2_batch
+from .flat import query_matrix
+from .ivf_flat import check_posting_lists, ivf_search, split_posting_lists
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = [
@@ -68,20 +68,13 @@ class IvfPqIndex:
                 raise DataError(f"sub-codebook {j} dim {cb.dim}, expected {sub}")
             if cb.k > KSUB:
                 raise DataError(f"sub-codebook {j} has k={cb.k} > {KSUB}")
-        if len(self.list_ids) != self.coarse.k or len(self.list_codes) != self.coarse.k:
-            raise DataError("posting list count does not match nlist")
-        total = 0
+        check_posting_lists(self, self.list_codes)
         caps = np.asarray([cb.k for cb in self.subs], dtype=np.int64)
         for ids, codes in zip(self.list_ids, self.list_codes):
             if codes.shape != (ids.shape[0], m):
                 raise DataError("code block shape does not match its posting list")
             if codes.shape[0] and np.any(codes.max(axis=0) >= caps):
                 raise DataError("code byte indexes past its sub-codebook")
-            total += ids.shape[0]
-            ids.setflags(write=False)
-            codes.setflags(write=False)
-        if total != len(self.labels):
-            raise DataError("posting lists do not cover exactly the labeled vectors")
 
     @property
     def nlist(self) -> int:
@@ -225,31 +218,13 @@ def ivf_pq_search(
     index: IvfPqIndex, queries, k: int, nprobe: int | None = None, threads: int = 1
 ) -> list[SearchResult]:
     """Rank candidates in the nprobe nearest lists by summed table lookups."""
-    q = query_matrix(queries, index.dim)
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    if nprobe is None:
-        nprobe = max(1, index.nlist // 32)
-    if not 1 <= nprobe <= index.nlist:
-        raise DataError(f"nprobe must be in [1, {index.nlist}], got {nprobe}")
 
-    def worker(i: int) -> SearchResult:
-        probes = probe_order(index.coarse, q[i], nprobe)
-        id_parts: list[np.ndarray] = []
-        est_parts: list[np.ndarray] = []
-        for c in probes:
-            ids = index.list_ids[c]
-            id_parts.append(ids)
-            codes = index.list_codes[c]
-            tables = adc_table(index, q[i], int(c))
-            lookups = np.empty((ids.shape[0], index.m), dtype=np.float64)
-            for j in range(index.m):
-                lookups[:, j] = tables[j][codes[:, j]]
-            est_parts.append(lookups.sum(axis=1))
-        ids = np.concatenate(id_parts)
-        est = np.concatenate(est_parts)
-        kk = min(k, ids.shape[0])
-        ids_k, d_k = top_k_smallest(est, ids, kk) if kk else (ids, est)
-        return SearchResult(ids=ids_k, dists=d_k, approximate=True)
+    def score_list(query: np.ndarray, c: int) -> np.ndarray:
+        codes = index.list_codes[c]
+        tables = adc_table(index, query, int(c))
+        lookups = np.empty((codes.shape[0], index.m), dtype=np.float64)
+        for j in range(index.m):
+            lookups[:, j] = tables[j][codes[:, j]]
+        return lookups.sum(axis=1)
 
-    return run_per_query(q.shape[0], threads, worker)
+    return ivf_search(index, queries, k, nprobe, threads, score_list, exact=False)

@@ -1,11 +1,14 @@
 """VIDX index files: one little-endian container for all three index kinds.
 
 Layout: magic "VIDX", u32 version (1), u8 kind (0 flat, 1 ivf-flat,
-2 ivf-pq), u32 dim, u64 count, a kind-specific payload (labels block,
-codebooks, posting lists), and a trailing u64 CRC-64 over every preceding
-byte. Codebooks serialize as (u32 k, u32 dim, f64 inertia, k*dim f32);
-posting lists as length-prefixed id runs with their vector or code
-payload. Loading verifies the checksum before trusting any payload length.
+2 ivf-pq), u32 dim, u64 count, u8 normalized flag, a labels block (u64
+size, then one "\n"-ended UTF-8 line per label), a kind-specific payload,
+and a trailing u64 CRC-64 over every preceding byte. Flat stores count*dim
+f32. Both IVF kinds store the coarse codebook (ivf-pq then u32 m, u32 ksub
+and m sub-codebooks) and nlist posting lists, each a u64 length, the
+length's i64 ids and their f32 vectors or u8 codes. Codebooks serialize as
+(u32 k, u32 dim, f64 inertia, k*dim f32). Loading verifies the checksum
+before trusting any payload length.
 
 The CRC is CRC-64/XZ (reflected 0x42f0e1eba9ea3693, init and xorout all
 ones), computed 8 bytes per step from sliced tables.
@@ -17,7 +20,7 @@ import struct
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import atomic_write_bytes, decode_labels, encode_labels
 from .core import DataError, EmbeddingSet
 from .flat import FlatIndex
 from .ivf_flat import IvfFlatIndex
@@ -106,10 +109,7 @@ class _Writer:
         self.raw(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
     def labels(self, labels: list[str]) -> None:
-        for i, label in enumerate(labels):
-            if "\n" in label or "\r" in label:
-                raise DataError(f"label {i} contains a line break and cannot be stored")
-        blob = "".join(label + "\n" for label in labels).encode("utf-8")
+        blob = encode_labels(labels)
         self.u64(len(blob))
         self.raw(blob)
 
@@ -153,7 +153,7 @@ class _Reader:
     def labels(self, count: int) -> list[str]:
         size = self.u64("labels block size")
         text = self.take(size, "labels block").decode("utf-8")
-        labels = text.splitlines()
+        labels = decode_labels(text)
         if len(labels) != count:
             raise VidxFormatError(
                 f"labels block has {len(labels)} lines, count is {count}",
@@ -170,9 +170,7 @@ class _Reader:
 
 
 def _check_partition(list_ids: list[np.ndarray], count: int, offset: int) -> None:
-    if count == 0:
-        return
-    merged = np.concatenate(list_ids) if list_ids else np.empty(0, dtype=np.int64)
+    merged = np.concatenate(list_ids)
     if not np.array_equal(np.sort(merged), np.arange(count, dtype=np.int64)):
         raise VidxFormatError(
             "posting lists do not partition the id range", offset=offset
@@ -181,36 +179,34 @@ def _check_partition(list_ids: list[np.ndarray], count: int, offset: int) -> Non
 
 def save_index(index, path: str) -> None:
     """Serialize any index kind to one checksummed file, atomically."""
-    w = _Writer()
     if isinstance(index, FlatIndex):
-        w.raw(_HEADER.pack(_MAGIC, _VERSION, _KIND_FLAT, index.dim, index.count))
-        w.u8(int(index.base.normalized))
-        w.labels(index.base.labels)
-        w.array(index.base.vectors, "<f4")
+        kind = _KIND_FLAT
     elif isinstance(index, IvfFlatIndex):
-        w.raw(_HEADER.pack(_MAGIC, _VERSION, _KIND_IVF_FLAT, index.dim, index.count))
-        w.u8(int(index.normalized))
-        w.labels(index.labels)
-        w.codebook(index.coarse)
-        for ids, vecs in zip(index.list_ids, index.list_vectors):
-            w.u64(ids.shape[0])
-            w.array(ids, "<i8")
-            w.array(vecs, "<f4")
+        kind = _KIND_IVF_FLAT
     elif isinstance(index, IvfPqIndex):
-        w.raw(_HEADER.pack(_MAGIC, _VERSION, _KIND_IVF_PQ, index.dim, index.count))
-        w.u8(int(index.normalized))
-        w.labels(index.labels)
-        w.codebook(index.coarse)
-        w.u32(index.m)
-        w.u32(index.params.ksub)
-        for cb in index.subs:
-            w.codebook(cb)
-        for ids, codes in zip(index.list_ids, index.list_codes):
-            w.u64(ids.shape[0])
-            w.array(ids, "<i8")
-            w.array(codes, "u1")
+        kind = _KIND_IVF_PQ
     else:
         raise DataError(f"unsupported index type {type(index).__name__}")
+    w = _Writer()
+    w.raw(_HEADER.pack(_MAGIC, _VERSION, kind, index.dim, index.count))
+    w.u8(int(index.normalized))
+    w.labels(index.labels)
+    if kind == _KIND_FLAT:
+        w.array(index.base.vectors, "<f4")
+    else:
+        w.codebook(index.coarse)
+        if kind == _KIND_IVF_PQ:
+            w.u32(index.m)
+            w.u32(index.params.ksub)
+            for cb in index.subs:
+                w.codebook(cb)
+            payloads, dtype = index.list_codes, "u1"
+        else:
+            payloads, dtype = index.list_vectors, "<f4"
+        for ids, payload in zip(index.list_ids, payloads):
+            w.u64(ids.shape[0])
+            w.array(ids, "<i8")
+            w.array(payload, dtype)
     body = b"".join(w.parts)
     atomic_write_bytes(path, body + struct.pack("<Q", crc64(body)))
 
@@ -263,43 +259,38 @@ def load_index(path: str):
             f"coarse codebook dim {coarse.dim} does not match header dim {dim}",
             offset=r.pos,
         )
-    if kind == _KIND_IVF_FLAT:
-        list_ids, list_vectors = [], []
-        for j in range(coarse.k):
-            n = r.u64(f"list {j} length")
-            list_ids.append(r.array(n, "<i8", f"list {j} ids"))
-            list_vectors.append(r.array(n * dim, "<f4", f"list {j} vectors").reshape(n, dim))
-        lists_at = r.pos
-        _expect_end(r)
-        _check_partition(list_ids, count, lists_at)
-        return IvfFlatIndex(
-            coarse=coarse,
-            list_ids=tuple(list_ids),
-            list_vectors=tuple(list_vectors),
-            labels=labels,
-            normalized=bool(normalized),
-        )
-
-    m = r.u32("m")
-    ksub = r.u32("ksub")
-    params = PqParams(m=m, ksub=ksub)
-    if dim % m != 0:
-        raise VidxFormatError(f"dim {dim} not divisible by m={m}", offset=r.pos)
-    subs = tuple(r.codebook(f"sub-codebook {j}") for j in range(m))
-    list_ids, list_codes = [], []
+    if kind == _KIND_IVF_PQ:
+        m = r.u32("m")
+        ksub = r.u32("ksub")
+        params = PqParams(m=m, ksub=ksub)
+        if dim % m != 0:
+            raise VidxFormatError(f"dim {dim} not divisible by m={m}", offset=r.pos)
+        subs = tuple(r.codebook(f"sub-codebook {j}") for j in range(m))
+        width, dtype, what = m, "u1", "codes"
+    else:
+        width, dtype, what = dim, "<f4", "vectors"
+    list_ids, payloads = [], []
     for j in range(coarse.k):
         n = r.u64(f"list {j} length")
         list_ids.append(r.array(n, "<i8", f"list {j} ids"))
-        list_codes.append(r.array(n * m, "u1", f"list {j} codes").reshape(n, m))
+        payloads.append(r.array(n * width, dtype, f"list {j} {what}").reshape(n, width))
     lists_at = r.pos
     _expect_end(r)
     _check_partition(list_ids, count, lists_at)
+    if kind == _KIND_IVF_FLAT:
+        return IvfFlatIndex(
+            coarse=coarse,
+            list_ids=tuple(list_ids),
+            list_vectors=tuple(payloads),
+            labels=labels,
+            normalized=bool(normalized),
+        )
     return IvfPqIndex(
         coarse=coarse,
         params=params,
         subs=subs,
         list_ids=tuple(list_ids),
-        list_codes=tuple(list_codes),
+        list_codes=tuple(payloads),
         labels=labels,
         normalized=bool(normalized),
     )

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from vse import (
+    Codebook,
     DataError,
     EmbeddingSet,
+    IvfFlatIndex,
     OUT_OF_GALLERY,
     REJECT,
     SplitSpec,
     StrategyConfig,
     default_bench_matrix,
     flat_build,
+    flat_search,
+    ivf_pq_build,
     make_split,
     reports_to_json,
     reports_to_tsv,
@@ -90,6 +94,65 @@ def test_top1_identify_threshold_rejects():
     idx = flat_build(es)
     probe = np.float32([0.0, 0.0, 0.0])
     assert top1_identify(idx, probe, threshold=0.0) == REJECT
+
+
+def _ivf_with_empty_list():
+    """Three lists around (0, 0), (10, 0) and (0, 10); the last one is empty."""
+    rows = np.float32([[0, 0], [1, 0], [0, 1], [10, 0], [11, 0], [10, 1]])
+    coarse = Codebook(k=3, dim=2, centroids=np.float32([[0, 0], [10, 0], [0, 10]]), inertia=0.0)
+    index = IvfFlatIndex(
+        coarse=coarse,
+        list_ids=(np.arange(3), np.arange(3, 6), np.empty(0, dtype=np.int64)),
+        list_vectors=(rows[:3], rows[3:], np.empty((0, 2), dtype=np.float32)),
+        labels=list("aabccd"),
+        normalized=False,
+    )
+    gallery = EmbeddingSet(vectors=rows, labels=list("aabccd"), normalized=False)
+    probes = np.float32([[0.2, 0.1], [3, 0], [10.2, 0.3], [0, 9], [0.5, 6]])
+    probes = EmbeddingSet(vectors=probes, labels=list("vwxyz"), normalized=False)
+    return index, StrategyConfig(kind="ivf_flat", nlist=3, nprobe=1), gallery, probes
+
+
+def _split_case(kind):
+    base = synthetic_gallery(n_identities=80, per_identity=6, dim=16, seed=5)
+    split = make_split(
+        base,
+        SplitSpec(n_identities=60, in_gallery_fraction=0.8,
+                  probes_per_identity=2, seed=5),
+    )
+    if kind == "flat":
+        index, config = flat_build(split.gallery), StrategyConfig(kind="flat")
+    else:
+        index = ivf_pq_build(split.gallery, nlist=8, m=4, seed=0, max_iters=5)
+        config = StrategyConfig(kind="ivf_pq", nlist=8, nprobe=2, m=4)
+    return index, config, split.gallery, split.probes
+
+
+@pytest.mark.parametrize("case", ["flat", "ivf_pq", "ivf_flat_empty_list"])
+@pytest.mark.parametrize("with_threshold", [False, True])
+def test_run_benchmark_decides_like_top1_identify(monkeypatch, case, with_threshold):
+    if case == "ivf_flat_empty_list":
+        index, config, gallery, probes = _ivf_with_empty_list()
+        threshold = 1.0 if with_threshold else None
+    else:
+        index, config, gallery, probes = _split_case(case)
+        top1 = [r.dists[0] for r in flat_search(flat_build(gallery), probes, k=1)]
+        threshold = float(np.median(top1)) if with_threshold else None
+    expected = [
+        top1_identify(index, p, threshold=threshold, nprobe=config.nprobe)
+        for p in probes.vectors
+    ]
+    assert set(expected) - {REJECT}
+    if with_threshold or case == "ivf_flat_empty_list":
+        assert REJECT in expected
+    if case == "ivf_flat_empty_list":
+        assert expected[3:] == [REJECT, REJECT]
+
+    monkeypatch.setattr("vse.evaluate._build_for", lambda *args, **kwargs: index)
+    # With top1_identify's decisions as truth (REJECT included, which scores
+    # as an in-gallery label), only identical decisions give 100%.
+    report = run_benchmark(gallery, probes, expected, [config], threshold=threshold)[0]
+    assert report.closed_set_accuracy == 100.0
 
 
 def test_accuracy_matches_hand_labeling():

@@ -189,3 +189,44 @@ def test_pq_file_size_matches_layout(tmp_path):
         want += 8 + 8 * ids.shape[0] + codes.size
     want += 8  # checksum
     assert os.path.getsize(path) == want
+
+
+def _expected_vidx(es, index, kind):
+    """The VIDX v1 file for an index built from es, assembled field by field."""
+    def codebook(cb):
+        return struct.pack("<IId", cb.k, cb.dim, cb.inertia) + cb.centroids.astype("<f4").tobytes()
+
+    labels = "".join(label + "\n" for label in es.labels).encode("utf-8")
+    body = struct.pack("<4sIBIQ", b"VIDX", 1, kind, es.dim, es.count)
+    body += struct.pack("<B", int(es.normalized))
+    body += struct.pack("<Q", len(labels)) + labels
+    if kind == 0:
+        return body + es.vectors.astype("<f4").tobytes()
+    body += codebook(index.coarse)
+    if kind == 1:
+        payloads, dtype = index.list_vectors, "<f4"
+    else:
+        body += struct.pack("<II", index.m, 256)
+        body += b"".join(codebook(cb) for cb in index.subs)
+        payloads, dtype = index.list_codes, "u1"
+    for ids, payload in zip(index.list_ids, payloads):
+        body += struct.pack("<Q", ids.shape[0]) + ids.astype("<i8").tobytes()
+        body += payload.astype(dtype).tobytes()
+    return body
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2])
+def test_vidx_v1_bytes_pinned(tmp_path, kind):
+    rng = np.random.default_rng(31)
+    rows = rng.standard_normal((300, 8)).astype(np.float32)
+    es = EmbeddingSet(vectors=rows, labels=[f"p{i % 7}" for i in range(300)], normalized=False)
+    if kind == 0:
+        idx = flat_build(es)
+    elif kind == 1:
+        idx = ivf_flat_build(es, nlist=5, seed=31, max_iters=5)
+    else:
+        idx = ivf_pq_build(es, nlist=3, m=2, seed=31, max_iters=3)
+    path = str(tmp_path / "pin.vidx")
+    save_index(idx, path)
+    body = _expected_vidx(es, idx, kind)
+    assert open(path, "rb").read() == body + struct.pack("<Q", crc64(body))
