@@ -1,13 +1,23 @@
-"""Atomic file writes and the label line format shared by FVB, VIDX and the CLI."""
+"""Atomic file writes, the label line format shared by FVB, VIDX and the CLI,
+and the byte offsets file readers report for malformed contents."""
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 
-from .core import DataError
+import numpy as np
 
-__all__ = ["atomic_write_bytes", "encode_labels", "decode_labels"]
+from .core import DataError, EmbeddingSet
+
+__all__ = [
+    "atomic_write_bytes",
+    "encode_labels",
+    "decode_labels",
+    "line_start",
+    "embedding_set_at",
+]
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -31,7 +41,16 @@ def encode_labels(labels: list[str]) -> bytes:
     for i, label in enumerate(labels):
         if "\n" in label or "\r" in label:
             raise DataError(f"label {i} contains a line break and cannot be stored")
-    return "".join(label + "\n" for label in labels).encode("utf-8")
+    text = "".join(label + "\n" for label in labels)
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # Labels hold no "\n", so the breaks before the bad character count
+        # the labels before it.
+        i = text.count("\n", 0, exc.start)
+        raise DataError(
+            f"label {i} holds {text[exc.start]!r}, which has no UTF-8 encoding", label=i
+        ) from None
 
 
 def decode_labels(text: str) -> list[str]:
@@ -44,3 +63,28 @@ def decode_labels(text: str) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def line_start(blob: bytes, i: int, breaks: bytes = rb"\n") -> int:
+    """Byte offset where line i of `blob` starts; its length past the last line."""
+    starts = [0] + [m.end() for m in re.finditer(breaks, blob)]
+    return starts[i] if i < len(starts) else len(blob)
+
+
+def embedding_set_at(
+    error, vectors: np.ndarray, labels: list[str], normalized: bool, vectors_at: int, label_at
+) -> EmbeddingSet:
+    """An EmbeddingSet of file contents, or `error` at the offending bytes.
+
+    `error(message, offset)` is the reader's format error. The offset is
+    that of the bad row, given the file offset `vectors_at` of row 0, or of
+    the bad label, `label_at(i)`.
+    """
+    try:
+        return EmbeddingSet(vectors=vectors, labels=labels, normalized=normalized)
+    except DataError as exc:
+        if exc.label is not None:
+            offset = label_at(exc.label)
+        else:
+            offset = vectors_at + 4 * vectors.shape[1] * (exc.row or 0)
+        raise error(str(exc), offset=offset) from None

@@ -4,6 +4,8 @@ Every distance this package reports comes from one kernel: cast the f32
 operands to f64, subtract, square, sum over the last axis. Keeping a single
 kernel makes exact-equality contracts between strategies meaningful (a flat
 search and a full-probe IVF search produce bitwise-identical distances).
+Exact searches may rank rows by a cheaper f32 estimate first, but only with
+a proven error bound, and they score what they return with this kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +31,16 @@ _BLOCK_ROWS = 16384
 
 
 class DataError(ValueError):
-    """Malformed vector data: shape, dtype, finiteness, or label problems."""
+    """Malformed vector data: shape, dtype, finiteness, or label problems.
+
+    `row` or `label` names the vector row or the label at fault when the
+    problem lies in one, so a file reader can report where it is stored.
+    """
+
+    def __init__(self, message: str, *, row: int | None = None, label: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.label = label
 
 
 def _as_matrix_f32(vectors: np.ndarray, *, copy: bool) -> np.ndarray:
@@ -39,7 +50,8 @@ def _as_matrix_f32(vectors: np.ndarray, *, copy: bool) -> np.ndarray:
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DataError(f"empty embedding matrix with shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise DataError("embedding matrix contains NaN or infinity")
+        bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
+        raise DataError(f"embedding matrix row {bad} contains NaN or infinity", row=bad)
     return arr
 
 
@@ -64,14 +76,15 @@ class EmbeddingSet:
         labels = list(self.labels)
         for i, lab in enumerate(labels):
             if not isinstance(lab, str) or lab == "":
-                raise DataError(f"label {i} is empty or not a string")
+                raise DataError(f"label {i} is empty or not a string", label=i)
         if self.normalized:
             sq = _row_squared_norms(arr)
             off = np.abs(sq - 1.0)
             worst = int(np.argmax(off))
             if off[worst] > 1e-5:
                 raise DataError(
-                    f"normalized flag set but row {worst} has squared norm {sq[worst]:.8f}"
+                    f"normalized flag set but row {worst} has squared norm {sq[worst]:.8f}",
+                    row=worst,
                 )
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
@@ -109,7 +122,13 @@ class SearchResult:
 
 
 def _row_squared_norms(arr: np.ndarray) -> np.ndarray:
-    return np.sum(arr.astype(np.float64) ** 2, axis=1)
+    """Squared norm of every row in f64, cast one block of rows at a time."""
+    out = np.empty(arr.shape[0], dtype=np.float64)
+    for start in range(0, arr.shape[0], _BLOCK_ROWS):
+        block = arr[start : start + _BLOCK_ROWS].astype(np.float64)
+        np.square(block, out=block)
+        out[start : start + _BLOCK_ROWS] = block.sum(axis=1)
+    return out
 
 
 def _as_vector(v, name: str) -> np.ndarray:

@@ -3,7 +3,8 @@
 Layout: magic "FVB1", u32 version (1), u32 dim, u64 count, u8 normalized
 flag, then count*dim f32 values row-major. Labels live in a UTF-8 sidecar
 (default: same path plus ".labels"), one label per line, line i naming row
-i. Format errors report the byte offset of the first offending byte.
+i. Format errors report the byte offset of the first offending byte, in
+the labels file when the message names it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import struct
 
 import numpy as np
 
-from ._io import atomic_write_bytes, decode_labels, encode_labels
+from ._io import atomic_write_bytes, decode_labels, embedding_set_at, encode_labels, line_start
 from .core import DataError, EmbeddingSet
 
 __all__ = ["FvbFormatError", "read_embeddings", "write_embeddings", "default_labels_path"]
@@ -84,12 +85,25 @@ def read_embeddings(path: str, labels_path: str | None = None) -> EmbeddingSet:
             offset=_HEADER.size + 4 * bad,
         )
     lpath = labels_path or default_labels_path(path)
-    with open(lpath, "r", encoding="utf-8") as fh:
-        labels = decode_labels(fh.read())
+    with open(lpath, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FvbFormatError(
+            f"labels file {lpath} is not UTF-8: {exc.reason}", offset=exc.start
+        ) from None
+    # A sidecar is a text file: "\r\n" and "\r" end a line as "\n" does.
+    labels = decode_labels(text.replace("\r\n", "\n").replace("\r", "\n"))
+
+    def label_at(i: int) -> int:
+        return line_start(raw, i, rb"\r\n|\r|\n")
+
     if len(labels) != count:
         raise FvbFormatError(
-            f"labels file {lpath} has {len(labels)} lines, vector count is {count}"
+            f"labels file {lpath} has {len(labels)} lines, vector count is {count}",
+            offset=label_at(count),
         )
-    return EmbeddingSet(
-        vectors=vectors.reshape(count, dim), labels=labels, normalized=bool(flag)
+    return embedding_set_at(
+        FvbFormatError, vectors.reshape(count, dim), labels, bool(flag), _HEADER.size, label_at
     )

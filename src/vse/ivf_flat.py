@@ -3,17 +3,20 @@
 The base set is partitioned into nlist posting lists by a k-means coarse
 quantizer. A query ranks the coarse centroids, scans only the nprobe
 nearest lists, and orders those candidates by exact squared L2 on the full
-stored vectors. Probing every list reproduces the flat index bit for bit.
+stored vectors. Each list is scanned as flat search scans its base: an f32
+estimate with a proven bound picks the rows that can be among the k
+nearest, and only those are scored by the canonical kernel. Probing every
+list reproduces the flat index bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DataError, EmbeddingSet, SearchResult, squared_l2_batch, top_k_smallest
-from .flat import query_matrix, run_per_query
+from .flat import exact_candidates, frozen_norms, query_matrix, run_per_query
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = ["IvfFlatIndex", "ivf_flat_build", "ivf_flat_search", "default_nprobe"]
@@ -57,9 +60,16 @@ class IvfFlatIndex:
     list_vectors: tuple[np.ndarray, ...]
     labels: list[str]
     normalized: bool
+    # frozen_norms of each list's vectors.
+    list_norms: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_posting_lists(self, self.list_vectors)
+        norms = tuple(frozen_norms(v) for v in self.list_vectors)
+        # An f32 row's f64 squared norm is finite exactly when the row is.
+        if not all(np.isfinite(n).all() for n in norms):
+            raise DataError("posting list vectors contain NaN or infinity")
+        object.__setattr__(self, "list_norms", norms)
 
     @property
     def nlist(self) -> int:
@@ -98,9 +108,11 @@ def ivf_search(
 ) -> list[SearchResult]:
     """The query loop of both IVF kinds: probe, score the probed lists, take top-k.
 
-    `score_list(query, c)` returns one distance per entry of posting list c;
-    it is the only step that differs between ivf_flat and ivf_pq. `exact`
-    says the scores are true distances, so probing every list is exact.
+    `score_list(query, c)` returns ids from posting list c and their
+    distances, at least every entry that can be among that list's k
+    nearest; it is the only step that differs between ivf_flat and ivf_pq.
+    `exact` says the scores are true distances, so probing every list is
+    exact.
     """
     q = query_matrix(queries, index.dim)
     if k < 1:
@@ -112,9 +124,9 @@ def ivf_search(
     approximate = not (exact and nprobe == index.nlist)
 
     def worker(i: int) -> SearchResult:
-        probes = probe_order(index.coarse, q[i], nprobe)
-        ids = np.concatenate([index.list_ids[c] for c in probes])
-        dists = np.concatenate([score_list(q[i], c) for c in probes])
+        parts = [score_list(q[i], c) for c in probe_order(index.coarse, q[i], nprobe)]
+        ids = np.concatenate([part_ids for part_ids, _ in parts])
+        dists = np.concatenate([part_dists for _, part_dists in parts])
         kk = min(k, ids.shape[0])
         ids_k, d_k = top_k_smallest(dists, ids, kk) if kk else (ids, dists)
         return SearchResult(ids=ids_k, dists=d_k, approximate=approximate)
@@ -130,7 +142,8 @@ def ivf_flat_search(
     Fewer than k candidates in the probed lists returns the short list.
     """
 
-    def score_list(query: np.ndarray, c: int) -> np.ndarray:
-        return squared_l2_batch(index.list_vectors[c], query)
+    def score_list(query: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+        rows, dists = exact_candidates(index.list_vectors[c], index.list_norms[c], query, k)
+        return index.list_ids[c][rows], dists
 
     return ivf_search(index, queries, k, nprobe, threads, score_list, exact=True)

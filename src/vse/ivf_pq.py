@@ -219,12 +219,12 @@ def ivf_pq_search(
 ) -> list[SearchResult]:
     """Rank candidates in the nprobe nearest lists by summed table lookups."""
 
-    def score_list(query: np.ndarray, c: int) -> np.ndarray:
+    def score_list(query: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
         codes = index.list_codes[c]
         tables = adc_table(index, query, int(c))
         lookups = np.empty((codes.shape[0], index.m), dtype=np.float64)
         for j in range(index.m):
             lookups[:, j] = tables[j][codes[:, j]]
-        return lookups.sum(axis=1)
+        return index.list_ids[c], lookups.sum(axis=1)
 
     return ivf_search(index, queries, k, nprobe, threads, score_list, exact=False)

@@ -20,8 +20,8 @@ import struct
 
 import numpy as np
 
-from ._io import atomic_write_bytes, decode_labels, encode_labels
-from .core import DataError, EmbeddingSet
+from ._io import atomic_write_bytes, decode_labels, embedding_set_at, encode_labels, line_start
+from .core import DataError
 from .flat import FlatIndex
 from .ivf_flat import IvfFlatIndex
 from .ivf_pq import IvfPqIndex, PqParams
@@ -150,23 +150,39 @@ class _Reader:
         item = np.dtype(dtype).itemsize
         return np.frombuffer(self.take(count * item, what), dtype=dtype).copy()
 
-    def labels(self, count: int) -> list[str]:
+    def labels(self, count: int):
+        """The labels, and a map from a label number to its file offset."""
         size = self.u64("labels block size")
-        text = self.take(size, "labels block").decode("utf-8")
+        start = self.pos
+        blob = self.take(size, "labels block")
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise VidxFormatError(
+                f"labels block is not UTF-8: {exc.reason}", offset=start + exc.start
+            ) from None
         labels = decode_labels(text)
         if len(labels) != count:
             raise VidxFormatError(
-                f"labels block has {len(labels)} lines, count is {count}",
-                offset=self.pos - size,
+                f"labels block has {len(labels)} lines, count is {count}", offset=start
             )
-        return labels
+        return labels, lambda i: start + line_start(blob, i)
 
     def codebook(self, what: str) -> Codebook:
+        start = self.pos
         k = self.u32(f"{what} k")
         dim = self.u32(f"{what} dim")
         inertia = self.f64(f"{what} inertia")
         cents = self.array(k * dim, "<f4", f"{what} centroids").reshape(k, dim)
-        return Codebook(k=k, dim=dim, centroids=cents, inertia=inertia)
+        return _at(start, Codebook, k=k, dim=dim, centroids=cents, inertia=inertia)
+
+
+def _at(offset: int, make, **fields):
+    """make(**fields), its DataError raised again as a VidxFormatError at `offset`."""
+    try:
+        return make(**fields)
+    except DataError as exc:
+        raise VidxFormatError(str(exc), offset=offset) from None
 
 
 def _check_partition(list_ids: list[np.ndarray], count: int, offset: int) -> None:
@@ -245,12 +261,15 @@ def load_index(path: str):
         raise VidxFormatError(
             f"normalized flag must be 0 or 1, got {normalized}", offset=r.pos - 1
         )
-    labels = r.labels(count)
+    labels, label_at = r.labels(count)
 
     if kind == _KIND_FLAT:
+        vectors_at = r.pos
         vectors = r.array(count * dim, "<f4", "vectors").reshape(count, dim)
         _expect_end(r)
-        base = EmbeddingSet(vectors=vectors, labels=labels, normalized=bool(normalized))
+        base = embedding_set_at(
+            VidxFormatError, vectors, labels, bool(normalized), vectors_at, label_at
+        )
         return FlatIndex(base=base)
 
     coarse = r.codebook("coarse codebook")
@@ -260,32 +279,40 @@ def load_index(path: str):
             offset=r.pos,
         )
     if kind == _KIND_IVF_PQ:
+        params_at = r.pos
         m = r.u32("m")
         ksub = r.u32("ksub")
-        params = PqParams(m=m, ksub=ksub)
+        params = _at(params_at, PqParams, m=m, ksub=ksub)
         if dim % m != 0:
-            raise VidxFormatError(f"dim {dim} not divisible by m={m}", offset=r.pos)
+            raise VidxFormatError(f"dim {dim} not divisible by m={m}", offset=params_at)
+        subs_at = r.pos
         subs = tuple(r.codebook(f"sub-codebook {j}") for j in range(m))
         width, dtype, what = m, "u1", "codes"
     else:
         width, dtype, what = dim, "<f4", "vectors"
+    lists_at = r.pos
     list_ids, payloads = [], []
     for j in range(coarse.k):
         n = r.u64(f"list {j} length")
         list_ids.append(r.array(n, "<i8", f"list {j} ids"))
         payloads.append(r.array(n * width, dtype, f"list {j} {what}").reshape(n, width))
-    lists_at = r.pos
     _expect_end(r)
-    _check_partition(list_ids, count, lists_at)
+    _check_partition(list_ids, count, r.pos)
     if kind == _KIND_IVF_FLAT:
-        return IvfFlatIndex(
+        return _at(
+            lists_at,
+            IvfFlatIndex,
             coarse=coarse,
             list_ids=tuple(list_ids),
             list_vectors=tuple(payloads),
             labels=labels,
             normalized=bool(normalized),
         )
-    return IvfPqIndex(
+    # Past the reader's own checks, IvfPqIndex can only fault the
+    # sub-codebooks' shapes or the codes that index them.
+    return _at(
+        subs_at,
+        IvfPqIndex,
         coarse=coarse,
         params=params,
         subs=subs,

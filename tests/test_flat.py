@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_search
 from vse import (
@@ -113,3 +115,47 @@ def test_threads_do_not_change_results():
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.ids, rb.ids)
         assert np.array_equal(ra.dists, rb.dists)
+
+
+def _case(family, n, d, seed):
+    """Base rows and queries that stress the f32 ranking of flat_search."""
+    rng = np.random.default_rng(seed)
+    if family == "small_ints":
+        # Exact ties and duplicate rows.
+        base = rng.integers(-2, 3, (n, d)).astype(np.float32)
+        base[rng.integers(0, n, n // 3)] = base[rng.integers(0, n, n // 3)]
+        queries = rng.integers(-2, 3, (3, d)).astype(np.float32)
+    elif family == "magnitudes":
+        # Rows from 1e-30 to 1e30: the f32 dot products underflow and overflow.
+        base = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-30, 30, (n, 1))
+        queries = rng.standard_normal((3, d)) * 10.0 ** rng.uniform(-30, 30, (3, 1))
+    else:
+        # Near-ties at the k-th boundary: rows a hair apart, far from the
+        # origin, so the f32 estimate cannot tell them apart.
+        center = rng.standard_normal(d) * 1e3
+        base = center + rng.standard_normal((n, d)) * 1e-2
+        base[rng.integers(0, n, n // 2)] += rng.standard_normal((n // 2, d)) * 1e-4
+        queries = center + rng.standard_normal((3, d)) * 1e-2
+    base = base.astype(np.float32)
+    queries = np.concatenate([queries.astype(np.float32), base[:1]])
+    return base, queries
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    family=st.sampled_from(["small_ints", "magnitudes", "near_ties"]),
+    n=st.integers(10, 40),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_oracle_bitwise_on_hard_inputs(family, n, d, seed):
+    base, queries = _case(family, n, d, seed)
+    es = EmbeddingSet(vectors=base, labels=[f"r{i}" for i in range(n)], normalized=False)
+    idx = flat_build(es)
+    for k in (1, 10, n):
+        got = flat_search(idx, queries, k=k)
+        want = brute_force_search(base, queries, k)
+        for r, (ids, dists) in zip(got, want):
+            assert r.approximate is False
+            assert np.array_equal(r.ids, ids)
+            assert np.array_equal(r.dists, dists)

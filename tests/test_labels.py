@@ -4,10 +4,11 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vse import EmbeddingSet, flat_build, load_index, read_embeddings, save_index, write_embeddings
+from vse import DataError, EmbeddingSet, flat_build, load_index, read_embeddings, save_index, write_embeddings
 
 # Any non-empty label without "\n" or "\r" is storable. Surrogates are left
 # out because they have no UTF-8 encoding.
@@ -46,3 +47,14 @@ def test_fvb_sidecar_crlf_reads_as_one_break(tmp_path):
     with open(path + ".labels", "wb") as fh:
         fh.write(b"a\r\nb\r\n")
     assert read_embeddings(path).labels == ["a", "b"]
+
+
+def test_lone_surrogate_label_is_a_data_error_and_writes_nothing(tmp_path):
+    es = EmbeddingSet(vectors=np.eye(2, dtype=np.float32), labels=["a", "b\ud800"], normalized=True)
+    vidx = str(tmp_path / "set.vidx")
+    fvb = str(tmp_path / "set.fvb")
+    for write in (lambda: save_index(flat_build(es), vidx), lambda: write_embeddings(es, fvb)):
+        with pytest.raises(DataError, match="label 1") as e:
+            write()
+        assert e.value.label == 1
+    assert os.listdir(tmp_path) == []
