@@ -20,13 +20,15 @@ __all__ = [
 ]
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename over."""
+def atomic_write_bytes(path: str, *chunks: bytes) -> None:
+    """Write the chunks one after another via a temp file in the target
+    directory, then rename over."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -44,7 +44,8 @@ class DataError(ValueError):
 
 
 def _as_matrix_f32(vectors: np.ndarray, *, copy: bool) -> np.ndarray:
-    arr = np.array(vectors, dtype=np.float32, order="C", copy=copy or None)
+    # np.asarray, not np.array(copy=None), which numpy 1.x refuses.
+    arr = (np.array if copy else np.asarray)(vectors, dtype=np.float32, order="C")
     if arr.ndim != 2:
         raise DataError(f"expected a 2-d array of row vectors, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -53,6 +54,13 @@ def _as_matrix_f32(vectors: np.ndarray, *, copy: bool) -> np.ndarray:
         bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
         raise DataError(f"embedding matrix row {bad} contains NaN or infinity", row=bad)
     return arr
+
+
+def check_labels(labels: list[str]) -> None:
+    """Every label is a non-empty string; else DataError(label=i) for the first that is not."""
+    for i, lab in enumerate(labels):
+        if not isinstance(lab, str) or lab == "":
+            raise DataError(f"label {i} is empty or not a string", label=i)
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,7 @@ class EmbeddingSet:
                 f"label count {len(self.labels)} != vector count {arr.shape[0]}"
             )
         labels = list(self.labels)
-        for i, lab in enumerate(labels):
-            if not isinstance(lab, str) or lab == "":
-                raise DataError(f"label {i} is empty or not a string", label=i)
+        check_labels(labels)
         if self.normalized:
             sq = _row_squared_norms(arr)
             off = np.abs(sq - 1.0)

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, SearchResult, squared_l2_batch, top_k_smallest
+from .core import (
+    DataError,
+    EmbeddingSet,
+    SearchResult,
+    check_labels,
+    squared_l2_batch,
+    top_k_smallest,
+)
 from .flat import exact_candidates, frozen_norms, query_matrix, run_per_query
 from .kmeans import Codebook, assign, kmeans_train
 
@@ -39,7 +46,8 @@ def split_posting_lists(labels: np.ndarray, nlist: int) -> list[np.ndarray]:
 
 
 def check_posting_lists(index, payloads: tuple[np.ndarray, ...]) -> None:
-    """One list per coarse centroid, covering every labeled row; then freeze them.
+    """One list per coarse centroid, covering every row, each row with a
+    label as EmbeddingSet requires; then freeze the lists.
 
     `payloads` is the index's list_vectors or list_codes, one row per id.
     """
@@ -48,6 +56,7 @@ def check_posting_lists(index, payloads: tuple[np.ndarray, ...]) -> None:
     total = sum(ids.shape[0] for ids in index.list_ids)
     if total != len(index.labels):
         raise DataError("posting lists do not cover exactly the labeled vectors")
+    check_labels(index.labels)
     for ids, payload in zip(index.list_ids, payloads):
         ids.setflags(write=False)
         payload.setflags(write=False)

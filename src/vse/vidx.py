@@ -11,11 +11,20 @@ length's i64 ids and their f32 vectors or u8 codes. Codebooks serialize as
 before trusting any payload length.
 
 The CRC is CRC-64/XZ (reflected 0x42f0e1eba9ea3693, init and xorout all
-ones), computed 8 bytes per step from sliced tables.
+ones). crc64 splits its input into L equal lanes of whole 8-byte words,
+L = isqrt(word count), so lanes and steps grow alike. Each numpy step
+advances every lane by one word through the eight slice tables (lane 0
+from the all-ones init, the others from 0). The register update is linear
+over GF(2), so the register after lanes a then b is Z(a) ^ b, where Z
+feeds one lane's length of zero bytes; Z comes from repeated squaring of
+the one-zero-byte operator, as in zlib's crc32_combine, and the lanes fold
+left to right through Z's byte tables. The tail past the lanes, and an
+input too short for two lanes, takes the scalar slice-by-8 step.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -35,6 +44,7 @@ _KIND_FLAT, _KIND_IVF_FLAT, _KIND_IVF_PQ = 0, 1, 2
 _HEADER = struct.Struct("<4sIBIQ")  # magic, version, kind, dim, count
 
 _CRC_POLY = 0xC96C5795D7870F42  # 0x42f0e1eba9ea3693 bit-reflected
+_CRC_ONES = 0xFFFFFFFFFFFFFFFF
 _CRC_TABLES: list[list[int]] = []
 
 
@@ -53,11 +63,94 @@ def _build_crc_tables() -> None:
 
 _build_crc_tables()
 
+# Lane registers are little-endian words on every host, so their uint8 view
+# lists each word's bytes least significant first. Byte j of a word indexes
+# table 7 - j; _LANE_TABLES holds those tables end to end, and row j of
+# _LANE_TABLE_AT is where table 7 - j starts. Masks and shift counts on
+# numpy uint64 values are np.uint64 too: numpy 1.x and 2.x promote uint64
+# mixed with a Python int differently. The fold works on Python ints.
+_U64 = np.dtype("<u8")
+_LANE_TABLES = np.array(_CRC_TABLES[::-1], dtype=_U64).ravel()
+_LANE_TABLE_AT = 256 * np.arange(8, dtype=np.intp)[:, None]
+_BIT = np.arange(64, dtype=np.uint64)
+_ONE = np.uint64(1)
 
-def crc64(data: bytes) -> int:
-    """CRC-64/XZ of a byte string."""
+
+def crc64(data) -> int:
+    """CRC-64/XZ of any bytes-like object, such as bytes or a memoryview."""
+    view = memoryview(data).cast("B")
+    words = len(view) // 8
+    lanes = math.isqrt(words)
+    crc, done = _CRC_ONES, 0
+    if lanes >= 2:
+        steps = words // lanes
+        done = 8 * lanes * steps
+        registers = _lane_registers(np.frombuffer(view, _U64, lanes * steps).reshape(lanes, steps))
+        z0, z1, z2, z3, z4, z5, z6, z7 = _zero_bytes_tables(8 * steps)
+        crc = registers[0]
+        for r in registers[1:]:
+            crc = r ^ (
+                z0[crc & 0xFF]
+                ^ z1[(crc >> 8) & 0xFF]
+                ^ z2[(crc >> 16) & 0xFF]
+                ^ z3[(crc >> 24) & 0xFF]
+                ^ z4[(crc >> 32) & 0xFF]
+                ^ z5[(crc >> 40) & 0xFF]
+                ^ z6[(crc >> 48) & 0xFF]
+                ^ z7[(crc >> 56) & 0xFF]
+            )
+    return _crc_update(crc, view[done:]) ^ _CRC_ONES
+
+
+def _lane_registers(words: np.ndarray) -> list[int]:
+    """The CRC register after each row of `words` (lanes x steps), one word
+    per step for all rows at once; row 0 starts from all ones, the rest from 0.
+
+    Step t reads column t of `words`, a strided view of the input, so the
+    scratch is two arrays of 8 x lanes entries whatever the input's size.
+    """
+    lanes, steps = words.shape
+    state = np.zeros(lanes, dtype=_U64)
+    state[0] = np.uint64(_CRC_ONES)
+    state_bytes = state.view(np.uint8).reshape(lanes, 8).T
+    at = np.empty((8, lanes), dtype=np.intp)
+    hits = np.empty((8, lanes), dtype=_U64)
+    for t in range(steps):
+        np.bitwise_xor(state, words[:, t], out=state)
+        np.add(state_bytes, _LANE_TABLE_AT, out=at)
+        np.take(_LANE_TABLES, at, out=hits, mode="clip")
+        np.bitwise_xor.reduce(hits, axis=0, out=state)
+    return state.tolist()
+
+
+def _gf2_apply(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The GF(2) matrix whose column k is columns[k], applied to each vector:
+    the XOR of columns[k] over the set bits k of the vector."""
+    bits = (vectors[:, None] >> _BIT[: columns.shape[0]]) & _ONE
+    return np.bitwise_xor.reduce(np.where(bits == _ONE, columns, np.uint64(0)), axis=1)
+
+
+def _zero_bytes_tables(n: int) -> list[list[int]]:
+    """Eight byte tables of the operator Z that feeds n zero bytes to a
+    register: Z(s) is the XOR over j of table j at byte j of s."""
+    basis = _ONE << _BIT
+    # Column k of an operator is its image of bit k; one zero byte first.
+    t0 = np.array(_CRC_TABLES[0], dtype=np.uint64)
+    power = (basis >> np.uint64(8)) ^ t0[(basis & np.uint64(0xFF)).astype(np.intp)]
+    z = basis
+    while n:
+        if n & 1:
+            z = _gf2_apply(power, z)
+        n >>= 1
+        if n:
+            power = _gf2_apply(power, power)
+    byte = np.arange(256, dtype=np.uint64)
+    return [_gf2_apply(z[8 * j : 8 * j + 8], byte).tolist() for j in range(8)]
+
+
+def _crc_update(crc: int, data) -> int:
+    """The register after feeding `data` to register `crc`, 8 bytes per step."""
     t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
-    crc = 0xFFFFFFFFFFFFFFFF
     n8 = len(data) - (len(data) % 8)
     for (word,) in struct.iter_unpack("<Q", data[:n8]):
         c = crc ^ word
@@ -73,7 +166,7 @@ def crc64(data: bytes) -> int:
         )
     for b in data[n8:]:
         crc = t0[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+    return crc
 
 
 class VidxFormatError(DataError):
@@ -121,15 +214,16 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes) -> None:
+    """Reads data[:end], the file without its CRC, without copying it whole."""
+
+    def __init__(self, data: bytes, end: int) -> None:
         self.data = data
+        self.end = end
         self.pos = 0
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise VidxFormatError(
-                f"truncated while reading {what}", offset=len(self.data)
-            )
+        if self.pos + n > self.end:
+            raise VidxFormatError(f"truncated while reading {what}", offset=self.end)
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -177,11 +271,14 @@ class _Reader:
         return _at(start, Codebook, k=k, dim=dim, centroids=cents, inertia=inertia)
 
 
-def _at(offset: int, make, **fields):
-    """make(**fields), its DataError raised again as a VidxFormatError at `offset`."""
+def _at(offset: int, make, label_at=None, **fields):
+    """make(**fields), its DataError raised again as a VidxFormatError at
+    `offset`, or at `label_at(i)` when label i is at fault."""
     try:
         return make(**fields)
     except DataError as exc:
+        if exc.label is not None:
+            offset = label_at(exc.label)
         raise VidxFormatError(str(exc), offset=offset) from None
 
 
@@ -224,7 +321,8 @@ def save_index(index, path: str) -> None:
             w.array(ids, "<i8")
             w.array(payload, dtype)
     body = b"".join(w.parts)
-    atomic_write_bytes(path, body + struct.pack("<Q", crc64(body)))
+    del w  # the parts; the CRC and the write need only the joined body
+    atomic_write_bytes(path, body, struct.pack("<Q", crc64(body)))
 
 
 def load_index(path: str):
@@ -233,14 +331,15 @@ def load_index(path: str):
         blob = fh.read()
     if len(blob) < _HEADER.size + 8:
         raise VidxFormatError("file too short for a VIDX header", offset=len(blob))
-    body, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
-    actual = crc64(body)
+    end = len(blob) - 8
+    (stored,) = struct.unpack_from("<Q", blob, end)
+    actual = crc64(memoryview(blob)[:end])
     if actual != stored:
         raise VidxFormatError(
             f"checksum mismatch: stored {stored:#018x}, computed {actual:#018x}",
-            offset=len(blob) - 8,
+            offset=end,
         )
-    r = _Reader(body)
+    r = _Reader(blob, end)
     magic = r.take(4, "magic")
     if magic != _MAGIC:
         raise VidxFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
@@ -302,6 +401,7 @@ def load_index(path: str):
         return _at(
             lists_at,
             IvfFlatIndex,
+            label_at,
             coarse=coarse,
             list_ids=tuple(list_ids),
             list_vectors=tuple(payloads),
@@ -309,10 +409,11 @@ def load_index(path: str):
             normalized=bool(normalized),
         )
     # Past the reader's own checks, IvfPqIndex can only fault the
-    # sub-codebooks' shapes or the codes that index them.
+    # sub-codebooks' shapes, the codes that index them, or a label.
     return _at(
         subs_at,
         IvfPqIndex,
+        label_at,
         coarse=coarse,
         params=params,
         subs=subs,
@@ -324,7 +425,7 @@ def load_index(path: str):
 
 
 def _expect_end(r: _Reader) -> None:
-    if r.pos != len(r.data):
+    if r.pos != r.end:
         raise VidxFormatError(
-            f"{len(r.data) - r.pos} unexpected bytes after the payload", offset=r.pos
+            f"{r.end - r.pos} unexpected bytes after the payload", offset=r.pos
         )

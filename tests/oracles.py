@@ -2,8 +2,11 @@
 
 Everything here is written against the public contracts only, in the
 plainest form possible (per-row loops, full sorts), so that agreement
-with the library is evidence rather than tautology. Only numpy is used.
+with the library is evidence rather than tautology. Only numpy and the
+standard library are used.
 """
+
+import struct
 
 import numpy as np
 
@@ -88,3 +91,46 @@ def lloyd_reference(x, k, max_iters=25, seed=0):
         if same:
             break
     return cents, labels, inertia
+
+
+_CRC_POLY = 0xC96C5795D7870F42  # CRC-64/XZ: 0x42f0e1eba9ea3693 bit-reflected
+
+
+def _crc64_tables():
+    """The eight slice-by-8 tables: table t feeds a byte followed by t zero bytes."""
+    base = []
+    for b in range(256):
+        crc = b
+        for _ in range(8):
+            crc = (crc >> 1) ^ _CRC_POLY if crc & 1 else crc >> 1
+        base.append(crc)
+    tables = [base]
+    for t in range(1, 8):
+        prev = tables[t - 1]
+        tables.append([(prev[b] >> 8) ^ base[prev[b] & 0xFF] for b in range(256)])
+    return tables
+
+
+_CRC_TABLES = _crc64_tables()
+
+
+def crc64_reference(data: bytes) -> int:
+    """CRC-64/XZ of a byte string, one 8-byte word per step in pure Python."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
+    crc = 0xFFFFFFFFFFFFFFFF
+    n8 = len(data) - (len(data) % 8)
+    for (word,) in struct.iter_unpack("<Q", data[:n8]):
+        c = crc ^ word
+        crc = (
+            t7[c & 0xFF]
+            ^ t6[(c >> 8) & 0xFF]
+            ^ t5[(c >> 16) & 0xFF]
+            ^ t4[(c >> 24) & 0xFF]
+            ^ t3[(c >> 32) & 0xFF]
+            ^ t2[(c >> 40) & 0xFF]
+            ^ t1[(c >> 48) & 0xFF]
+            ^ t0[(c >> 56) & 0xFF]
+        )
+    for b in data[n8:]:
+        crc = t0[(crc ^ b) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFFFFFFFFFF

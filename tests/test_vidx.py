@@ -230,3 +230,23 @@ def test_vidx_v1_bytes_pinned(tmp_path, kind):
     save_index(idx, path)
     body = _expected_vidx(es, idx, kind)
     assert open(path, "rb").read() == body + struct.pack("<Q", crc64(body))
+
+
+@pytest.mark.parametrize("kind", ["ivf_flat", "ivf_pq"])
+def test_empty_label_in_ivf_file_reported_at_its_offset(tmp_path, kind):
+    rows = random_set(600, 16, seed=12).vectors
+    es = EmbeddingSet(vectors=rows, labels=["ab", "c"] + [f"r{i}" for i in range(598)])
+    if kind == "ivf_flat":
+        idx = ivf_flat_build(es, nlist=4, seed=12)
+    else:
+        idx = ivf_pq_build(es, nlist=4, m=4, seed=12)
+    path = str(tmp_path / "e.vidx")
+    save_index(idx, path)
+    body = open(path, "rb").read()[:-8]
+    # Labels start at byte 30; "ab\nc\n" becomes "\nabc\n", so label 0 is empty.
+    assert body[30:35] == b"ab\nc\n"
+    body = body[:30] + b"\nabc\n" + body[35:]
+    open(path, "wb").write(body + struct.pack("<Q", crc64(body)))
+    with pytest.raises(VidxFormatError, match="label 0") as e:
+        load_index(path)
+    assert e.value.offset == 30
