@@ -12,12 +12,23 @@ import numpy as np
 from .core import DataError, EmbeddingSet
 
 __all__ = [
+    "FormatError",
     "atomic_write_bytes",
     "encode_labels",
     "decode_labels",
     "line_start",
     "embedding_set_at",
 ]
+
+
+class FormatError(DataError):
+    """Malformed file contents; `offset` is the byte position of the problem."""
+
+    def __init__(self, message: str, offset: int | None = None):
+        if offset is not None:
+            message = f"{message} (byte offset {offset})"
+        super().__init__(message)
+        self.offset = offset
 
 
 def atomic_write_bytes(path: str, *chunks: bytes) -> None:

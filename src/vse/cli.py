@@ -22,7 +22,9 @@ from .evaluate import (
     OUT_OF_GALLERY,
     SplitSpec,
     StrategyConfig,
+    _KIND_PARAMS,
     _build_for,
+    _check_params,
     default_bench_matrix,
     make_split,
     reports_to_json,
@@ -31,7 +33,6 @@ from .evaluate import (
     search_any,
     synthetic_gallery,
 )
-from .flat import FlatIndex
 from .fvb import default_labels_path, read_embeddings, write_embeddings
 from .gallery import FusionStrategy, clean_gallery, fuse_sets
 from .vidx import load_index, save_index
@@ -136,19 +137,20 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _strategy(args) -> StrategyConfig:
+    """The StrategyConfig of --kind and its flags. A flag the kind does not
+    take, or a required one left out, is a usage error; a bad value is a
+    DataError."""
+    _check_params(args.kind, args, UsageError, flag="--")
+    nprobe = getattr(args, "nprobe", None)  # vse build has no --nprobe
+    return StrategyConfig(
+        kind=args.kind, nlist=args.nlist, nprobe=nprobe, m=args.m, seed=args.seed
+    )
+
+
 def cmd_build(args) -> int:
+    config = _strategy(args)
     base = read_embeddings(args.input, labels_path=args.labels)
-    if args.kind == "flat":
-        if args.nlist is not None or args.m is not None:
-            raise UsageError("flat indexes take neither --nlist nor --m")
-    elif args.kind == "ivf_flat":
-        if args.nlist is None:
-            raise UsageError("ivf_flat requires --nlist")
-        if args.m is not None:
-            raise UsageError("ivf_flat takes no --m")
-    elif args.nlist is None or args.m is None:
-        raise UsageError("ivf_pq requires --nlist and --m")
-    config = StrategyConfig(kind=args.kind, nlist=args.nlist, m=args.m, seed=args.seed)
     index = _build_for(config, base, max_iters=args.max_iters)
     save_index(index, args.out)
     print(f"built {args.kind} index over {base.count} x {base.dim} -> {args.out}")
@@ -157,8 +159,8 @@ def cmd_build(args) -> int:
 
 def cmd_search(args) -> int:
     index = load_index(args.index)
-    if args.nprobe is not None and isinstance(index, FlatIndex):
-        raise UsageError("--nprobe applies only to IVF indexes")
+    if args.nprobe is not None and "nprobe" not in _KIND_PARAMS[index.kind]:
+        raise UsageError(f"{index.kind} takes no --nprobe")
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     queries = read_embeddings(args.queries, labels_path=args.query_labels)
@@ -247,21 +249,11 @@ def _emit_reports(args, reports) -> None:
 
 
 def cmd_eval(args) -> int:
+    config = _strategy(args)
     gallery = read_embeddings(args.gallery)
     probes = read_embeddings(args.probes)
     known = set(gallery.labels)
     truth = [label if label in known else OUT_OF_GALLERY for label in probes.labels]
-    if args.kind != "flat" and args.nlist is None:
-        raise UsageError(f"{args.kind} requires --nlist")
-    if args.kind == "ivf_pq" and args.m is None:
-        raise UsageError("ivf_pq requires --m")
-    config = StrategyConfig(
-        kind=args.kind,
-        nlist=args.nlist,
-        nprobe=args.nprobe,
-        m=args.m,
-        seed=args.seed,
-    )
     reports = run_benchmark(
         gallery,
         probes,
@@ -318,10 +310,10 @@ def build_parser() -> _Parser:
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("build", help="build a flat, ivf_flat, or ivf_pq index file")
+    p = sub.add_parser("build", help="build an index file of one --kind")
     p.add_argument("--input", required=True, help="FVB base set")
     p.add_argument("--labels", help="labels sidecar (default: <input>.labels)")
-    p.add_argument("--kind", required=True, choices=["flat", "ivf_flat", "ivf_pq"])
+    p.add_argument("--kind", required=True, choices=list(_KIND_PARAMS))
     p.add_argument("--nlist", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--max-iters", type=int, default=25)
@@ -359,7 +351,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="top-1 accuracy of one strategy on a gallery/probe pair")
     p.add_argument("--gallery", required=True)
     p.add_argument("--probes", required=True)
-    p.add_argument("--kind", required=True, choices=["flat", "ivf_flat", "ivf_pq"])
+    p.add_argument("--kind", required=True, choices=list(_KIND_PARAMS))
     p.add_argument("--nlist", type=int)
     p.add_argument("--nprobe", type=int)
     p.add_argument("--m", type=int)

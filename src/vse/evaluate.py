@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,12 +140,13 @@ def make_split(source: EmbeddingSet, spec: SplitSpec) -> Split:
 
 
 def search_any(index, queries, k: int, nprobe: int | None = None, threads: int = 1) -> list[SearchResult]:
-    """Dispatch a search to whichever index kind this is."""
-    if isinstance(index, FlatIndex):
+    """Dispatch a search on the index's kind; a flat index ignores nprobe."""
+    kind = getattr(index, "kind", None)
+    if kind == FlatIndex.kind:
         return flat_search(index, queries, k, threads=threads)
-    if isinstance(index, IvfFlatIndex):
+    if kind == IvfFlatIndex.kind:
         return ivf_flat_search(index, queries, k, nprobe=nprobe, threads=threads)
-    if isinstance(index, IvfPqIndex):
+    if kind == IvfPqIndex.kind:
         return ivf_pq_search(index, queries, k, nprobe=nprobe, threads=threads)
     raise DataError(f"unsupported index type {type(index).__name__}")
 
@@ -170,21 +171,46 @@ def top1_identify(index, probe, threshold: float | None = None, nprobe: int | No
     return _top1_label(index, result, threshold)
 
 
+# The parameters each index kind takes, each marked required (True) or
+# optional (False). A kind's optional nprobe defaults to default_nprobe(nlist).
+_KIND_PARAMS: dict[str, dict[str, bool]] = {
+    FlatIndex.kind: {},
+    IvfFlatIndex.kind: {"nlist": True, "nprobe": False},
+    IvfPqIndex.kind: {"nlist": True, "nprobe": False, "m": True},
+}
+
+
+def _check_params(kind: str, values, error=DataError, flag: str = "") -> None:
+    """Raise `error` for an unknown kind, or naming the first of the nlist,
+    nprobe and m attributes of `values` (None or absent when not given) that
+    `kind` does not take, or the first one it requires that is left out."""
+    if kind not in _KIND_PARAMS:
+        raise error(f"unknown strategy kind {kind!r}")
+    takes = _KIND_PARAMS[kind]
+    for name in ("nlist", "nprobe", "m"):
+        given = getattr(values, name, None) is not None
+        if given and name not in takes:
+            raise error(f"{kind} takes no {flag}{name}")
+        if not given and takes.get(name, False):
+            raise error(f"{kind} requires {flag}{name}")
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
-    kind: str  # "flat" | "ivf_flat" | "ivf_pq"
+    kind: str  # a key of _KIND_PARAMS
     nlist: int | None = None
     nprobe: int | None = None
     m: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("flat", "ivf_flat", "ivf_pq"):
-            raise DataError(f"unknown strategy kind {self.kind!r}")
-        if self.kind != "flat" and (self.nlist is None or self.nlist < 1):
+        _check_params(self.kind, self)
+        if self.nlist is not None and self.nlist < 1:
             raise DataError(f"{self.kind} needs nlist >= 1")
-        if self.kind == "ivf_pq" and (self.m is None or self.m < 1):
-            raise DataError("ivf_pq needs m >= 1")
+        if self.m is not None and self.m < 1:
+            raise DataError(f"{self.kind} needs m >= 1")
+        if self.nprobe is not None and not 1 <= self.nprobe <= self.nlist:
+            raise DataError(f"nprobe must be in [1, {self.nlist}], got {self.nprobe}")
 
 
 @dataclass(frozen=True)
@@ -203,9 +229,9 @@ class EvalReport:
 
 
 def _build_for(config: StrategyConfig, gallery: EmbeddingSet, max_iters: int = 25):
-    if config.kind == "flat":
+    if config.kind == FlatIndex.kind:
         return flat_build(gallery)
-    if config.kind == "ivf_flat":
+    if config.kind == IvfFlatIndex.kind:
         return ivf_flat_build(gallery, config.nlist, seed=config.seed, max_iters=max_iters)
     return ivf_pq_build(
         gallery, config.nlist, config.m, seed=config.seed, max_iters=max_iters
@@ -255,7 +281,7 @@ def run_benchmark(
         index = _build_for(config, gallery)
         build_s = time.perf_counter() - t0
         nprobe = config.nprobe
-        if config.kind != "flat" and nprobe is None:
+        if nprobe is None and "nprobe" in _KIND_PARAMS[config.kind]:
             nprobe = default_nprobe(config.nlist)
         times = []
         results: list[SearchResult] = []
@@ -270,8 +296,8 @@ def run_benchmark(
             EvalReport(
                 strategy=config.kind,
                 nlist=config.nlist,
-                nprobe=nprobe if config.kind != "flat" else None,
-                m=config.m if config.kind == "ivf_pq" else None,
+                nprobe=nprobe,
+                m=config.m,
                 probes=probes.count,
                 closed_set_accuracy=closed,
                 open_set_accuracy=open_acc,
@@ -354,20 +380,4 @@ def reports_to_tsv(reports: list[EvalReport]) -> str:
 
 
 def reports_to_json(reports: list[EvalReport]) -> str:
-    payload = [
-        {
-            "strategy": r.strategy,
-            "nlist": r.nlist,
-            "nprobe": r.nprobe,
-            "m": r.m,
-            "probes": r.probes,
-            "closed_set_accuracy": r.closed_set_accuracy,
-            "open_set_accuracy": r.open_set_accuracy,
-            "threshold": r.threshold,
-            "build_time": r.build_time,
-            "total_time": r.total_time,
-            "per_query_time": r.per_query_time,
-        }
-        for r in reports
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in reports], indent=2) + "\n"

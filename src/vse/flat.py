@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,6 +39,7 @@ def frozen_norms(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlatIndex:
+    kind: ClassVar[str] = "flat"
     base: EmbeddingSet
     # Squared norm of every base row in f64, read-only.
     norms: np.ndarray = field(init=False, compare=False, repr=False)

@@ -13,8 +13,15 @@ import struct
 
 import numpy as np
 
-from ._io import atomic_write_bytes, decode_labels, embedding_set_at, encode_labels, line_start
-from .core import DataError, EmbeddingSet
+from ._io import (
+    FormatError,
+    atomic_write_bytes,
+    decode_labels,
+    embedding_set_at,
+    encode_labels,
+    line_start,
+)
+from .core import EmbeddingSet
 
 __all__ = ["FvbFormatError", "read_embeddings", "write_embeddings", "default_labels_path"]
 
@@ -23,14 +30,8 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIIQB")  # magic, version, dim, count, normalized
 
 
-class FvbFormatError(DataError):
+class FvbFormatError(FormatError):
     """Malformed FVB file; `offset` is the byte position of the problem."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
 
 
 def default_labels_path(path: str) -> str:

@@ -12,6 +12,7 @@ list reproduces the flat index bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,22 +41,38 @@ def probe_order(coarse: Codebook, query: np.ndarray, nprobe: int) -> np.ndarray:
     return ids
 
 
-def split_posting_lists(labels: np.ndarray, nlist: int) -> list[np.ndarray]:
-    """Ascending base ids per cluster; empty lists stay as empty arrays."""
-    return [np.flatnonzero(labels == j).astype(np.int64) for j in range(nlist)]
+def coarse_lists(vectors: np.ndarray, nlist: int, seed: int, max_iters: int):
+    """The coarse step of both IVF kinds: train nlist centroids on the rows,
+    assign each row to its nearest, and split the row ids by list.
+
+    Returns the codebook, every row's list, and each list's ascending row
+    ids (an empty list is an empty array).
+    """
+    count = vectors.shape[0]
+    if nlist < 1:
+        raise DataError(f"nlist must be >= 1, got {nlist}")
+    if nlist > count:
+        raise DataError(f"nlist {nlist} exceeds base size {count}")
+    coarse = kmeans_train(vectors, nlist, max_iters=max_iters, seed=seed)
+    labels = assign(vectors, coarse).labels
+    # A stable sort keeps the ids ascending within each list.
+    order = np.argsort(labels, kind="stable").astype(np.int64, copy=False)
+    ends = np.cumsum(np.bincount(labels, minlength=nlist))
+    return coarse, labels, np.split(order, ends[:-1])
 
 
 def check_posting_lists(index, payloads: tuple[np.ndarray, ...]) -> None:
-    """One list per coarse centroid, covering every row, each row with a
-    label as EmbeddingSet requires; then freeze the lists.
+    """One list per coarse centroid, the lists partitioning the row ids
+    0..count-1, each row with a label as EmbeddingSet requires; then freeze
+    the lists.
 
     `payloads` is the index's list_vectors or list_codes, one row per id.
     """
     if len(index.list_ids) != index.coarse.k or len(payloads) != index.coarse.k:
         raise DataError("posting list count does not match nlist")
-    total = sum(ids.shape[0] for ids in index.list_ids)
-    if total != len(index.labels):
-        raise DataError("posting lists do not cover exactly the labeled vectors")
+    count = len(index.labels)
+    if not np.array_equal(np.sort(np.concatenate(index.list_ids)), np.arange(count)):
+        raise DataError(f"posting lists do not partition the id range [0, {count})")
     check_labels(index.labels)
     for ids, payload in zip(index.list_ids, payloads):
         ids.setflags(write=False)
@@ -64,6 +81,7 @@ def check_posting_lists(index, payloads: tuple[np.ndarray, ...]) -> None:
 
 @dataclass(frozen=True)
 class IvfFlatIndex:
+    kind: ClassVar[str] = "ivf_flat"
     coarse: Codebook
     list_ids: tuple[np.ndarray, ...]
     list_vectors: tuple[np.ndarray, ...]
@@ -95,13 +113,7 @@ class IvfFlatIndex:
 
 def ivf_flat_build(base: EmbeddingSet, nlist: int, seed: int = 0, max_iters: int = 25) -> IvfFlatIndex:
     """Train the coarse quantizer and file every vector under its nearest list."""
-    if nlist < 1:
-        raise DataError(f"nlist must be >= 1, got {nlist}")
-    if nlist > base.count:
-        raise DataError(f"nlist {nlist} exceeds base size {base.count}")
-    coarse = kmeans_train(base.vectors, nlist, max_iters=max_iters, seed=seed)
-    labels = assign(base.vectors, coarse).labels
-    list_ids = split_posting_lists(labels, nlist)
+    coarse, _, list_ids = coarse_lists(base.vectors, nlist, seed, max_iters)
     list_vectors = [np.ascontiguousarray(base.vectors[ids]) for ids in list_ids]
     return IvfFlatIndex(
         coarse=coarse,

@@ -11,12 +11,13 @@ estimates, so every result is flagged approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .core import DataError, EmbeddingSet, SearchResult, squared_l2_batch
 from .flat import query_matrix
-from .ivf_flat import check_posting_lists, ivf_search, split_posting_lists
+from .ivf_flat import check_posting_lists, coarse_lists, ivf_search
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = [
@@ -48,6 +49,7 @@ class PqParams:
 
 @dataclass(frozen=True)
 class IvfPqIndex:
+    kind: ClassVar[str] = "ivf_pq"
     coarse: Codebook
     params: PqParams
     subs: tuple[Codebook, ...]
@@ -98,20 +100,15 @@ class IvfPqIndex:
 
 
 def _train_parts(base: EmbeddingSet, nlist: int, m: int, seed: int, max_iters: int):
-    if nlist < 1:
-        raise DataError(f"nlist must be >= 1, got {nlist}")
     if base.count < KSUB:
         raise DataError(
             f"need at least {KSUB} vectors to train sub-codebooks, got {base.count}"
         )
-    if base.count < nlist:
-        raise DataError(f"nlist {nlist} exceeds base size {base.count}")
+    params = PqParams(m=m)
     if base.dim % m != 0:
         raise DataError(f"dim {base.dim} not divisible by m={m}")
-    params = PqParams(m=m)
     sub = base.dim // m
-    coarse = kmeans_train(base.vectors, nlist, max_iters=max_iters, seed=seed)
-    coarse_labels = assign(base.vectors, coarse).labels
+    coarse, coarse_labels, list_ids = coarse_lists(base.vectors, nlist, seed, max_iters)
     x64 = base.vectors.astype(np.float64)
     residuals = (x64 - coarse.centroids.astype(np.float64)[coarse_labels]).astype(
         np.float32
@@ -128,7 +125,7 @@ def _train_parts(base: EmbeddingSet, nlist: int, m: int, seed: int, max_iters: i
         )
         subs.append(cb)
         codes[:, j] = assign(slices, cb).labels
-    return params, coarse, tuple(subs), coarse_labels, codes
+    return params, coarse, tuple(subs), list_ids, codes
 
 
 def ivf_pq_train(
@@ -143,10 +140,7 @@ def ivf_pq_build(
     base: EmbeddingSet, nlist: int, m: int, seed: int = 0, max_iters: int = 25
 ) -> IvfPqIndex:
     """Train quantizers and file every vector as (id, m code bytes)."""
-    params, coarse, subs, coarse_labels, codes = _train_parts(
-        base, nlist, m, seed, max_iters
-    )
-    list_ids = split_posting_lists(coarse_labels, nlist)
+    params, coarse, subs, list_ids, codes = _train_parts(base, nlist, m, seed, max_iters)
     list_codes = [np.ascontiguousarray(codes[ids]) for ids in list_ids]
     return IvfPqIndex(
         coarse=coarse,

@@ -29,7 +29,14 @@ import struct
 
 import numpy as np
 
-from ._io import atomic_write_bytes, decode_labels, embedding_set_at, encode_labels, line_start
+from ._io import (
+    FormatError,
+    atomic_write_bytes,
+    decode_labels,
+    embedding_set_at,
+    encode_labels,
+    line_start,
+)
 from .core import DataError
 from .flat import FlatIndex
 from .ivf_flat import IvfFlatIndex
@@ -40,7 +47,7 @@ __all__ = ["VidxFormatError", "save_index", "load_index", "crc64"]
 
 _MAGIC = b"VIDX"
 _VERSION = 1
-_KIND_FLAT, _KIND_IVF_FLAT, _KIND_IVF_PQ = 0, 1, 2
+_KINDS = (FlatIndex.kind, IvfFlatIndex.kind, IvfPqIndex.kind)  # kind byte = position
 _HEADER = struct.Struct("<4sIBIQ")  # magic, version, kind, dim, count
 
 _CRC_POLY = 0xC96C5795D7870F42  # 0x42f0e1eba9ea3693 bit-reflected
@@ -169,47 +176,32 @@ def _crc_update(crc: int, data) -> int:
     return crc
 
 
-class VidxFormatError(DataError):
+class VidxFormatError(FormatError):
     """Malformed VIDX file; `offset` is the byte position of the problem."""
-
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
 
 
 class _Writer:
     def __init__(self) -> None:
-        self.parts: list[bytes] = []
+        self.parts: list[bytes | memoryview] = []
 
-    def raw(self, data: bytes) -> None:
+    def raw(self, data: bytes | memoryview) -> None:
         self.parts.append(data)
 
-    def u8(self, v: int) -> None:
-        self.raw(struct.pack("<B", v))
-
-    def u32(self, v: int) -> None:
-        self.raw(struct.pack("<I", v))
-
-    def u64(self, v: int) -> None:
-        self.raw(struct.pack("<Q", v))
-
-    def f64(self, v: float) -> None:
-        self.raw(struct.pack("<d", v))
+    def pack(self, fmt: str, *values) -> None:
+        self.raw(struct.pack(fmt, *values))
 
     def array(self, arr: np.ndarray, dtype: str) -> None:
-        self.raw(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        # A byte view, not a copy: joining the parts makes the only copy.
+        flat = np.ascontiguousarray(arr, dtype=dtype).reshape(-1)
+        self.raw(memoryview(flat.view(np.uint8)))
 
     def labels(self, labels: list[str]) -> None:
         blob = encode_labels(labels)
-        self.u64(len(blob))
+        self.pack("<Q", len(blob))
         self.raw(blob)
 
     def codebook(self, cb: Codebook) -> None:
-        self.u32(cb.k)
-        self.u32(cb.dim)
-        self.f64(cb.inertia)
+        self.pack("<IId", cb.k, cb.dim, cb.inertia)
         self.array(cb.centroids, "<f4")
 
 
@@ -282,42 +274,28 @@ def _at(offset: int, make, label_at=None, **fields):
         raise VidxFormatError(str(exc), offset=offset) from None
 
 
-def _check_partition(list_ids: list[np.ndarray], count: int, offset: int) -> None:
-    merged = np.concatenate(list_ids)
-    if not np.array_equal(np.sort(merged), np.arange(count, dtype=np.int64)):
-        raise VidxFormatError(
-            "posting lists do not partition the id range", offset=offset
-        )
-
-
 def save_index(index, path: str) -> None:
     """Serialize any index kind to one checksummed file, atomically."""
-    if isinstance(index, FlatIndex):
-        kind = _KIND_FLAT
-    elif isinstance(index, IvfFlatIndex):
-        kind = _KIND_IVF_FLAT
-    elif isinstance(index, IvfPqIndex):
-        kind = _KIND_IVF_PQ
-    else:
+    kind = getattr(index, "kind", None)
+    if kind not in _KINDS:
         raise DataError(f"unsupported index type {type(index).__name__}")
     w = _Writer()
-    w.raw(_HEADER.pack(_MAGIC, _VERSION, kind, index.dim, index.count))
-    w.u8(int(index.normalized))
+    w.raw(_HEADER.pack(_MAGIC, _VERSION, _KINDS.index(kind), index.dim, index.count))
+    w.pack("<B", int(index.normalized))
     w.labels(index.labels)
-    if kind == _KIND_FLAT:
+    if kind == FlatIndex.kind:
         w.array(index.base.vectors, "<f4")
     else:
         w.codebook(index.coarse)
-        if kind == _KIND_IVF_PQ:
-            w.u32(index.m)
-            w.u32(index.params.ksub)
+        if kind == IvfPqIndex.kind:
+            w.pack("<II", index.m, index.params.ksub)
             for cb in index.subs:
                 w.codebook(cb)
             payloads, dtype = index.list_codes, "u1"
         else:
             payloads, dtype = index.list_vectors, "<f4"
         for ids, payload in zip(index.list_ids, payloads):
-            w.u64(ids.shape[0])
+            w.pack("<Q", ids.shape[0])
             w.array(ids, "<i8")
             w.array(payload, dtype)
     body = b"".join(w.parts)
@@ -346,9 +324,10 @@ def load_index(path: str):
     version = r.u32("version")
     if version != _VERSION:
         raise VidxFormatError(f"unsupported format version {version}", offset=4)
-    kind = r.u8("index kind")
-    if kind not in (_KIND_FLAT, _KIND_IVF_FLAT, _KIND_IVF_PQ):
-        raise VidxFormatError(f"unknown index kind {kind}", offset=8)
+    kind_byte = r.u8("index kind")
+    if kind_byte >= len(_KINDS):
+        raise VidxFormatError(f"unknown index kind {kind_byte}", offset=8)
+    kind = _KINDS[kind_byte]
     dim = r.u32("dim")
     count = r.u64("count")
     if dim == 0:
@@ -362,7 +341,7 @@ def load_index(path: str):
         )
     labels, label_at = r.labels(count)
 
-    if kind == _KIND_FLAT:
+    if kind == FlatIndex.kind:
         vectors_at = r.pos
         vectors = r.array(count * dim, "<f4", "vectors").reshape(count, dim)
         _expect_end(r)
@@ -377,7 +356,7 @@ def load_index(path: str):
             f"coarse codebook dim {coarse.dim} does not match header dim {dim}",
             offset=r.pos,
         )
-    if kind == _KIND_IVF_PQ:
+    if kind == IvfPqIndex.kind:
         params_at = r.pos
         m = r.u32("m")
         ksub = r.u32("ksub")
@@ -396,32 +375,16 @@ def load_index(path: str):
         list_ids.append(r.array(n, "<i8", f"list {j} ids"))
         payloads.append(r.array(n * width, dtype, f"list {j} {what}").reshape(n, width))
     _expect_end(r)
-    _check_partition(list_ids, count, r.pos)
-    if kind == _KIND_IVF_FLAT:
-        return _at(
-            lists_at,
-            IvfFlatIndex,
-            label_at,
-            coarse=coarse,
-            list_ids=tuple(list_ids),
-            list_vectors=tuple(payloads),
-            labels=labels,
-            normalized=bool(normalized),
-        )
-    # Past the reader's own checks, IvfPqIndex can only fault the
-    # sub-codebooks' shapes, the codes that index them, or a label.
-    return _at(
-        subs_at,
-        IvfPqIndex,
-        label_at,
-        coarse=coarse,
-        params=params,
-        subs=subs,
-        list_ids=tuple(list_ids),
-        list_codes=tuple(payloads),
-        labels=labels,
-        normalized=bool(normalized),
+    fields = dict(
+        coarse=coarse, list_ids=tuple(list_ids), labels=labels, normalized=bool(normalized)
     )
+    if kind == IvfFlatIndex.kind:
+        return _at(lists_at, IvfFlatIndex, label_at, list_vectors=tuple(payloads), **fields)
+    # Past the reader's own checks, IvfPqIndex can only fault a label, the
+    # sub-codebooks' shapes or the lists that follow them: ids that do not
+    # partition the rows, or codes past their sub-codebook.
+    fields.update(params=params, subs=subs, list_codes=tuple(payloads))
+    return _at(subs_at, IvfPqIndex, label_at, **fields)
 
 
 def _expect_end(r: _Reader) -> None:

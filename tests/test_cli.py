@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
+import pytest
 
-from vse import EmbeddingSet, read_embeddings, write_embeddings
+from vse import DataError, EmbeddingSet, StrategyConfig, read_embeddings, write_embeddings
 from vse.cli import main
 
 
@@ -346,3 +348,67 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["search", "--bogus"]) == 1
+
+
+# The parameters each kind takes, and the ones it requires, stated here
+# apart from vse's own table.
+_TAKES = {"flat": (), "ivf_flat": ("nlist", "nprobe"), "ivf_pq": ("nlist", "nprobe", "m")}
+_REQUIRES = {"flat": (), "ivf_flat": ("nlist",), "ivf_pq": ("nlist", "m")}
+_VALUES = {"nlist": 4, "nprobe": 2, "m": 2}
+
+
+def _misfits(kind, given):
+    return [f for f in given if f not in _TAKES[kind]] + [
+        f for f in _REQUIRES[kind] if f not in given
+    ]
+
+
+@pytest.mark.parametrize("nprobe", [False, True], ids=["", "nprobe"])
+@pytest.mark.parametrize(
+    "given", [(), ("nlist",), ("m",), ("nlist", "m")], ids=["none", "nlist", "m", "nlist+m"]
+)
+@pytest.mark.parametrize("kind", ["flat", "ivf_flat", "ivf_pq"])
+def test_build_and_eval_share_one_parameter_rule(tmp_path, capsys, kind, given, nprobe):
+    """`vse eval`, `vse build` and StrategyConfig refuse the same flags.
+
+    A flag the kind does not take, or a required one left out, exits 1 and
+    is named on stderr. build has no --nprobe (it is a search parameter), so
+    it runs the same flags without it.
+    """
+    gallery = tmp_path / "g.fvb"
+    write_set(gallery, n=300, d=8, seed=3, labels=[f"id{i // 3}" for i in range(300)])
+    probes = tmp_path / "p.fvb"
+    write_set(probes, n=6, d=8, seed=4, labels=[f"id{i}" for i in range(6)])
+    eval_flags = given + ("nprobe",) * nprobe
+
+    def outcome(argv, flags):
+        argv += list(itertools.chain(*((f"--{f}", str(_VALUES[f])) for f in flags)))
+        code = run(argv + ["--seed", "0"])
+        return code, capsys.readouterr().err
+
+    built = outcome(
+        ["build", "--input", str(gallery), "--kind", kind, "--max-iters", "3",
+         "--out", str(tmp_path / "x.vidx")],
+        given,
+    )
+    evaluated = outcome(
+        ["eval", "--gallery", str(gallery), "--probes", str(probes), "--kind", kind,
+         "--tsv", str(tmp_path / "r.tsv")],
+        eval_flags,
+    )
+    for (code, err), misfits in ((built, _misfits(kind, given)),
+                                 (evaluated, _misfits(kind, eval_flags))):
+        if misfits:
+            assert code == 1, err
+            assert any(f"--{f}" in err for f in misfits), err
+        else:
+            assert code == 0, err
+    if not nprobe:
+        assert built[1] == evaluated[1]
+
+    config = {f: _VALUES[f] for f in eval_flags}
+    if _misfits(kind, eval_flags):
+        with pytest.raises(DataError):
+            StrategyConfig(kind=kind, **config)
+    else:
+        assert StrategyConfig(kind=kind, **config).kind == kind

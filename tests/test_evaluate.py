@@ -299,3 +299,16 @@ def test_synthetic_gallery_shape_and_labels():
     assert base.labels[0] == "id00000"
     assert base.labels[-1] == "id00029"
     assert len(set(base.labels)) == 30
+
+
+def test_strategy_config_rejects_parameters_its_kind_does_not_take():
+    with pytest.raises(DataError, match="takes no nlist"):
+        StrategyConfig(kind="flat", nlist=3, m=2, nprobe=-1)
+    with pytest.raises(DataError, match="takes no nprobe"):
+        StrategyConfig(kind="flat", nprobe=1)
+    with pytest.raises(DataError, match="takes no m"):
+        StrategyConfig(kind="ivf_flat", nlist=4, m=2)
+    for nprobe in (0, -1, 5):
+        with pytest.raises(DataError, match="nprobe"):
+            StrategyConfig(kind="ivf_pq", nlist=4, nprobe=nprobe, m=2)
+    assert StrategyConfig(kind="ivf_flat", nlist=4, nprobe=4).nprobe == 4

@@ -1,10 +1,13 @@
+import dataclasses
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vse import (
+    DataError,
     EmbeddingSet,
     VidxFormatError,
     flat_build,
@@ -250,3 +253,50 @@ def test_empty_label_in_ivf_file_reported_at_its_offset(tmp_path, kind):
     with pytest.raises(VidxFormatError, match="label 0") as e:
         load_index(path)
     assert e.value.offset == 30
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "out_of_range"])
+@pytest.mark.parametrize("kind", ["ivf_flat", "ivf_pq"])
+def test_lists_that_do_not_partition_the_rows_are_refused(tmp_path, kind, fault):
+    """An IVF index whose ids are not each of 0..count-1 once cannot be made,
+    so it can be neither saved unreadably nor searched into an IndexError."""
+    es = random_set(300, 8, seed=14)
+    if kind == "ivf_flat":
+        idx = ivf_flat_build(es, nlist=4, seed=14, max_iters=3)
+    else:
+        idx = ivf_pq_build(es, nlist=4, m=2, seed=14, max_iters=3)
+    list_ids = [ids.copy() for ids in idx.list_ids]
+    longest = max(range(len(list_ids)), key=lambda j: list_ids[j].shape[0])
+    if fault == "duplicate":
+        list_ids[longest][1] = list_ids[longest][0]
+    else:
+        list_ids[longest][0] = 10**6
+    with pytest.raises(DataError, match="partition"):
+        dataclasses.replace(idx, list_ids=tuple(list_ids))
+
+    # The same ids in a file are refused at load, inside the posting lists.
+    path = str(tmp_path / "p.vidx")
+    save_index(idx, path)
+    body = open(path, "rb").read()[:-8]
+    old = idx.list_ids[longest].astype("<i8").tobytes()
+    at = body.index(old)
+    body = body[:at] + list_ids[longest].astype("<i8").tobytes() + body[at + len(old):]
+    open(path, "wb").write(body + struct.pack("<Q", crc64(body)))
+    with pytest.raises(VidxFormatError, match="partition") as e:
+        load_index(path)
+    assert e.value.offset is not None and e.value.offset < at
+
+
+def test_save_holds_one_copy_of_the_file(tmp_path):
+    """Arrays go to the file's join as views, so saving a 5 MB index peaks
+    near the file size, not twice it."""
+    rows = np.random.default_rng(15).standard_normal((20_000, 64)).astype(np.float32)
+    idx = flat_build(EmbeddingSet(vectors=rows, labels=["a"] * 20_000))
+    path = str(tmp_path / "big.vidx")
+    tracemalloc.start()
+    try:
+        save_index(idx, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * os.path.getsize(path)
