@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._io import atomic_write_bytes, decode_labels
+from ._io import FormatError, atomic_write_bytes, read_label_file
 from .core import DataError, EmbeddingSet, normalize_rows
 from .evaluate import (
     OUT_OF_GALLERY,
@@ -104,14 +104,6 @@ def _read_csv(path: str) -> np.ndarray:
     return arr
 
 
-def _read_label_file(path: str, count: int) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        labels = decode_labels(fh.read())
-    if len(labels) != count:
-        raise DataError(f"{path} has {len(labels)} labels for {count} vectors")
-    return labels
-
-
 def cmd_ingest(args) -> int:
     fmt = args.format
     if fmt == "auto":
@@ -119,7 +111,7 @@ def cmd_ingest(args) -> int:
     if fmt == "csv":
         vectors = _read_csv(args.input)
         if args.labels:
-            labels = _read_label_file(args.labels, vectors.shape[0])
+            labels, _ = read_label_file(args.labels, vectors.shape[0], FormatError)
         else:
             labels = [str(i) for i in range(vectors.shape[0])]
         normalized = False

@@ -3,8 +3,13 @@
 Layout: magic "FVB1", u32 version (1), u32 dim, u64 count, u8 normalized
 flag, then count*dim f32 values row-major. Labels live in a UTF-8 sidecar
 (default: same path plus ".labels"), one label per line, line i naming row
-i. Format errors report the byte offset of the first offending byte, in
-the labels file when the message names it.
+i. The sidecar is a text file, so "\\r\\n" and "\\r" end a line as "\\n" does.
+
+The file and the sidecar are parsed by the reader VIDX files share
+(`_io.Reader`, `_io.read_labels`). Format errors report the byte offset of
+the first offending byte, in the labels file when the message names it. A
+line count other than the header's is reported where line `count` starts,
+or at the end of the sidecar, as in a VIDX labels block.
 """
 
 from __future__ import annotations
@@ -13,14 +18,7 @@ import struct
 
 import numpy as np
 
-from ._io import (
-    FormatError,
-    atomic_write_bytes,
-    decode_labels,
-    embedding_set_at,
-    encode_labels,
-    line_start,
-)
+from ._io import FormatError, Reader, atomic_write_bytes, encode_labels, read_label_file
 from .core import EmbeddingSet
 
 __all__ = ["FvbFormatError", "read_embeddings", "write_embeddings", "default_labels_path"]
@@ -53,58 +51,23 @@ def read_embeddings(path: str, labels_path: str | None = None) -> EmbeddingSet:
     """Read an FVB file plus its labels sidecar back into an EmbeddingSet."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FvbFormatError("file too short for an FVB header", offset=len(blob))
-    magic, version, dim, count, flag = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise FvbFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
-    if version != _VERSION:
-        raise FvbFormatError(f"unsupported format version {version}", offset=4)
-    if dim == 0:
-        raise FvbFormatError("dim must be >= 1", offset=8)
-    if count == 0:
-        raise FvbFormatError("count must be >= 1", offset=12)
-    if flag not in (0, 1):
-        raise FvbFormatError(f"normalized flag must be 0 or 1, got {flag}", offset=20)
-    expected = _HEADER.size + 4 * dim * count
-    if len(blob) < expected:
-        raise FvbFormatError(
-            f"truncated payload: need {expected} bytes, file has {len(blob)}",
-            offset=len(blob),
-        )
-    if len(blob) > expected:
-        raise FvbFormatError(
-            f"{len(blob) - expected} trailing bytes after the vector payload",
-            offset=expected,
-        )
-    vectors = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=_HEADER.size)
+    r = Reader(blob, len(blob), FvbFormatError)
+    _, dim, count, normalized = r.header(_MAGIC, _VERSION)
+    vectors_at = r.pos
+    # A view: EmbeddingSet makes the one copy.
+    vectors = r.view(count * dim, "<f4", "vectors")
+    r.expect_end()
     finite = np.isfinite(vectors)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise FvbFormatError(
             f"non-finite value at row {bad // dim}, column {bad % dim}",
-            offset=_HEADER.size + 4 * bad,
+            offset=vectors_at + 4 * bad,
         )
-    lpath = labels_path or default_labels_path(path)
-    with open(lpath, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FvbFormatError(
-            f"labels file {lpath} is not UTF-8: {exc.reason}", offset=exc.start
-        ) from None
-    # A sidecar is a text file: "\r\n" and "\r" end a line as "\n" does.
-    labels = decode_labels(text.replace("\r\n", "\n").replace("\r", "\n"))
-
-    def label_at(i: int) -> int:
-        return line_start(raw, i, rb"\r\n|\r|\n")
-
-    if len(labels) != count:
-        raise FvbFormatError(
-            f"labels file {lpath} has {len(labels)} lines, vector count is {count}",
-            offset=label_at(count),
-        )
-    return embedding_set_at(
-        FvbFormatError, vectors.reshape(count, dim), labels, bool(flag), _HEADER.size, label_at
+    labels, label_at = read_label_file(
+        labels_path or default_labels_path(path), count, FvbFormatError
+    )
+    return r.build(
+        vectors_at, EmbeddingSet, label_at, 4 * dim,
+        vectors=vectors.reshape(count, dim), labels=labels, normalized=normalized,
     )

@@ -109,22 +109,17 @@ def _train_parts(base: EmbeddingSet, nlist: int, m: int, seed: int, max_iters: i
         raise DataError(f"dim {base.dim} not divisible by m={m}")
     sub = base.dim // m
     coarse, coarse_labels, list_ids = coarse_lists(base.vectors, nlist, seed, max_iters)
-    x64 = base.vectors.astype(np.float64)
-    residuals = (x64 - coarse.centroids.astype(np.float64)[coarse_labels]).astype(
-        np.float32
-    )
+    residuals = _residuals(base.vectors, coarse.centroids.astype(np.float64)[coarse_labels])
     subs: list[Codebook] = []
-    codes = np.empty((base.count, m), dtype=np.uint8)
     for j in range(m):
         slices = residuals[:, j * sub : (j + 1) * sub]
         distinct = np.unique(slices, axis=0).shape[0]
         # Sub-codebook seeds are offset so no subspace shares the coarse
         # quantizer's stream; k caps at the distinct slice count.
-        cb = kmeans_train(
-            slices, min(KSUB, distinct), max_iters=max_iters, seed=seed + 1 + j
+        subs.append(
+            kmeans_train(slices, min(KSUB, distinct), max_iters=max_iters, seed=seed + 1 + j)
         )
-        subs.append(cb)
-        codes[:, j] = assign(slices, cb).labels
+    codes = _codes(residuals, subs)
     return params, coarse, tuple(subs), list_ids, codes
 
 
@@ -153,26 +148,28 @@ def ivf_pq_build(
     )
 
 
-def _residual(index: IvfPqIndex, x64: np.ndarray, list_id: int) -> np.ndarray:
-    r = x64 - index.coarse.centroids[list_id].astype(np.float64)
-    return r.astype(np.float32)
+def _residuals(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each row of x minus its coarse centroid, in f64, rounded to f32."""
+    return (x.astype(np.float64) - centroids.astype(np.float64, copy=False)).astype(np.float32)
+
+
+def _codes(residuals: np.ndarray, subs) -> np.ndarray:
+    """m code bytes per residual: each slice's nearest sub-centroid by `assign`."""
+    sub = residuals.shape[1] // len(subs)
+    codes = np.empty((residuals.shape[0], len(subs)), dtype=np.uint8)
+    for j, cb in enumerate(subs):
+        codes[:, j] = assign(residuals[:, j * sub : (j + 1) * sub], cb).labels
+    return codes
 
 
 def ivf_pq_encode(index: IvfPqIndex, x) -> tuple[int, np.ndarray]:
-    """Quantize one vector to (list id, m code bytes)."""
+    """Quantize one vector to (list id, m code bytes) by the build's rule."""
     q = query_matrix(x, index.dim)
     if q.shape[0] != 1:
         raise DataError("encode takes a single vector")
-    q64 = q[0].astype(np.float64)
-    coarse_d = squared_l2_batch(index.coarse.centroids, q[0])
-    list_id = int(np.argmin(coarse_d))
-    r = _residual(index, q64, list_id)
-    sub = index.subdim
-    codes = np.empty(index.m, dtype=np.uint8)
-    for j in range(index.m):
-        d = squared_l2_batch(index.subs[j].centroids, r[j * sub : (j + 1) * sub])
-        codes[j] = int(np.argmin(d))
-    return list_id, codes
+    list_id = int(assign(q, index.coarse).labels[0])
+    codes = _codes(_residuals(q, index.coarse.centroids[[list_id]]), index.subs)
+    return list_id, codes[0]
 
 
 def ivf_pq_decode(index: IvfPqIndex, list_id: int, codes) -> np.ndarray:
@@ -199,8 +196,7 @@ def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> list[np.nda
     Entry [j][b] is the canonical squared L2 between slice j of the query's
     residual against this list's centroid and sub-centroid b.
     """
-    q64 = np.asarray(query, dtype=np.float32).astype(np.float64)
-    r = _residual(index, q64, list_id)
+    r = _residuals(np.asarray(query, dtype=np.float32), index.coarse.centroids[list_id])
     sub = index.subdim
     return [
         squared_l2_batch(index.subs[j].centroids, r[j * sub : (j + 1) * sub])

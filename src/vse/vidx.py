@@ -8,7 +8,12 @@ f32. Both IVF kinds store the coarse codebook (ivf-pq then u32 m, u32 ksub
 and m sub-codebooks) and nlist posting lists, each a u64 length, the
 length's i64 ids and their f32 vectors or u8 codes. Codebooks serialize as
 (u32 k, u32 dim, f64 inertia, k*dim f32). Loading verifies the checksum
-before trusting any payload length.
+before trusting any payload length, then parses the file with the reader
+FVB files share (`_io.Reader`, `_io.read_labels`), so every fault is
+reported at its byte offset. A labels block whose line count is not the
+header's is reported where line `count` starts, or at the block's end, as
+in an FVB sidecar; a "\\r" in a label is refused at its offset, as
+save_index refuses it.
 
 The CRC is CRC-64/XZ (reflected 0x42f0e1eba9ea3693, init and xorout all
 ones). crc64 splits its input into L equal lanes of whole 8-byte words,
@@ -29,15 +34,8 @@ import struct
 
 import numpy as np
 
-from ._io import (
-    FormatError,
-    atomic_write_bytes,
-    decode_labels,
-    embedding_set_at,
-    encode_labels,
-    line_start,
-)
-from .core import DataError
+from ._io import FormatError, Reader, atomic_write_bytes, encode_labels, read_labels
+from .core import DataError, EmbeddingSet
 from .flat import FlatIndex
 from .ivf_flat import IvfFlatIndex
 from .ivf_pq import IvfPqIndex, PqParams
@@ -205,73 +203,11 @@ class _Writer:
         self.array(cb.centroids, "<f4")
 
 
-class _Reader:
-    """Reads data[:end], the file without its CRC, without copying it whole."""
-
-    def __init__(self, data: bytes, end: int) -> None:
-        self.data = data
-        self.end = end
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > self.end:
-            raise VidxFormatError(f"truncated while reading {what}", offset=self.end)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
-
-    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
-        item = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(count * item, what), dtype=dtype).copy()
-
-    def labels(self, count: int):
-        """The labels, and a map from a label number to its file offset."""
-        size = self.u64("labels block size")
-        start = self.pos
-        blob = self.take(size, "labels block")
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise VidxFormatError(
-                f"labels block is not UTF-8: {exc.reason}", offset=start + exc.start
-            ) from None
-        labels = decode_labels(text)
-        if len(labels) != count:
-            raise VidxFormatError(
-                f"labels block has {len(labels)} lines, count is {count}", offset=start
-            )
-        return labels, lambda i: start + line_start(blob, i)
-
-    def codebook(self, what: str) -> Codebook:
-        start = self.pos
-        k = self.u32(f"{what} k")
-        dim = self.u32(f"{what} dim")
-        inertia = self.f64(f"{what} inertia")
-        cents = self.array(k * dim, "<f4", f"{what} centroids").reshape(k, dim)
-        return _at(start, Codebook, k=k, dim=dim, centroids=cents, inertia=inertia)
-
-
-def _at(offset: int, make, label_at=None, **fields):
-    """make(**fields), its DataError raised again as a VidxFormatError at
-    `offset`, or at `label_at(i)` when label i is at fault."""
-    try:
-        return make(**fields)
-    except DataError as exc:
-        if exc.label is not None:
-            offset = label_at(exc.label)
-        raise VidxFormatError(str(exc), offset=offset) from None
+def _codebook(r: Reader, what: str) -> Codebook:
+    at = r.pos
+    k, dim, inertia = r.unpack("<IId", f"{what} k, dim and inertia")
+    cents = r.array(k * dim, "<f4", f"{what} centroids").reshape(k, dim)
+    return r.build(at, Codebook, k=k, dim=dim, centroids=cents, inertia=inertia)
 
 
 def save_index(index, path: str) -> None:
@@ -317,40 +253,24 @@ def load_index(path: str):
             f"checksum mismatch: stored {stored:#018x}, computed {actual:#018x}",
             offset=end,
         )
-    r = _Reader(blob, end)
-    magic = r.take(4, "magic")
-    if magic != _MAGIC:
-        raise VidxFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
-    version = r.u32("version")
-    if version != _VERSION:
-        raise VidxFormatError(f"unsupported format version {version}", offset=4)
-    kind_byte = r.u8("index kind")
-    if kind_byte >= len(_KINDS):
-        raise VidxFormatError(f"unknown index kind {kind_byte}", offset=8)
-    kind = _KINDS[kind_byte]
-    dim = r.u32("dim")
-    count = r.u64("count")
-    if dim == 0:
-        raise VidxFormatError("dim must be >= 1", offset=9)
-    if count == 0:
-        raise VidxFormatError("count must be >= 1", offset=13)
-    normalized = r.u8("normalized flag")
-    if normalized not in (0, 1):
-        raise VidxFormatError(
-            f"normalized flag must be 0 or 1, got {normalized}", offset=r.pos - 1
-        )
-    labels, label_at = r.labels(count)
+    r = Reader(blob, end, VidxFormatError)
+    kind, dim, count, normalized = r.header(_MAGIC, _VERSION, _KINDS)
+    size = r.unpack("<Q", "labels block size")
+    at = r.pos
+    labels, label_at = read_labels(r.take(size, "labels block"), count, VidxFormatError, at)
 
     if kind == FlatIndex.kind:
         vectors_at = r.pos
-        vectors = r.array(count * dim, "<f4", "vectors").reshape(count, dim)
-        _expect_end(r)
-        base = embedding_set_at(
-            VidxFormatError, vectors, labels, bool(normalized), vectors_at, label_at
+        # A view: EmbeddingSet makes the one copy.
+        vectors = r.view(count * dim, "<f4", "vectors").reshape(count, dim)
+        r.expect_end()
+        base = r.build(
+            vectors_at, EmbeddingSet, label_at, 4 * dim,
+            vectors=vectors, labels=labels, normalized=normalized,
         )
         return FlatIndex(base=base)
 
-    coarse = r.codebook("coarse codebook")
+    coarse = _codebook(r, "coarse codebook")
     if coarse.dim != dim:
         raise VidxFormatError(
             f"coarse codebook dim {coarse.dim} does not match header dim {dim}",
@@ -358,37 +278,27 @@ def load_index(path: str):
         )
     if kind == IvfPqIndex.kind:
         params_at = r.pos
-        m = r.u32("m")
-        ksub = r.u32("ksub")
-        params = _at(params_at, PqParams, m=m, ksub=ksub)
+        m, ksub = r.unpack("<II", "m and ksub")
+        params = r.build(params_at, PqParams, m=m, ksub=ksub)
         if dim % m != 0:
             raise VidxFormatError(f"dim {dim} not divisible by m={m}", offset=params_at)
         subs_at = r.pos
-        subs = tuple(r.codebook(f"sub-codebook {j}") for j in range(m))
+        subs = tuple(_codebook(r, f"sub-codebook {j}") for j in range(m))
         width, dtype, what = m, "u1", "codes"
     else:
         width, dtype, what = dim, "<f4", "vectors"
     lists_at = r.pos
     list_ids, payloads = [], []
     for j in range(coarse.k):
-        n = r.u64(f"list {j} length")
+        n = r.unpack("<Q", f"list {j} length")
         list_ids.append(r.array(n, "<i8", f"list {j} ids"))
         payloads.append(r.array(n * width, dtype, f"list {j} {what}").reshape(n, width))
-    _expect_end(r)
-    fields = dict(
-        coarse=coarse, list_ids=tuple(list_ids), labels=labels, normalized=bool(normalized)
-    )
+    r.expect_end()
+    fields = dict(coarse=coarse, list_ids=tuple(list_ids), labels=labels, normalized=normalized)
     if kind == IvfFlatIndex.kind:
-        return _at(lists_at, IvfFlatIndex, label_at, list_vectors=tuple(payloads), **fields)
+        return r.build(lists_at, IvfFlatIndex, label_at, list_vectors=tuple(payloads), **fields)
     # Past the reader's own checks, IvfPqIndex can only fault a label, the
     # sub-codebooks' shapes or the lists that follow them: ids that do not
     # partition the rows, or codes past their sub-codebook.
     fields.update(params=params, subs=subs, list_codes=tuple(payloads))
-    return _at(subs_at, IvfPqIndex, label_at, **fields)
-
-
-def _expect_end(r: _Reader) -> None:
-    if r.pos != r.end:
-        raise VidxFormatError(
-            f"{r.end - r.pos} unexpected bytes after the payload", offset=r.pos
-        )
+    return r.build(subs_at, IvfPqIndex, label_at, **fields)

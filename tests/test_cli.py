@@ -412,3 +412,16 @@ def test_build_and_eval_share_one_parameter_rule(tmp_path, capsys, kind, given, 
             StrategyConfig(kind=kind, **config)
     else:
         assert StrategyConfig(kind=kind, **config).kind == kind
+
+
+def test_ingest_label_file_count_mismatch_names_its_byte_offset(tmp_path, capsys):
+    csv = tmp_path / "in.csv"
+    write_csv(csv, [[1.0, 2.0], [3.0, 4.0]])
+    names = tmp_path / "names.txt"
+    names.write_bytes(b"a\r\nb\r\nc\r\n")  # three lines for two rows
+    out = tmp_path / "out.fvb"
+    assert run(["ingest", "--input", str(csv), "--labels", str(names), "--out", str(out)]) == 2
+    assert "3 lines, count is 2 (byte offset 6)" in capsys.readouterr().err
+    names.write_bytes(b"a\r\nb")
+    assert run(["ingest", "--input", str(csv), "--labels", str(names), "--out", str(out)]) == 0
+    assert read_embeddings(str(out)).labels == ["a", "b"]

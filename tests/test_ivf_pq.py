@@ -24,6 +24,7 @@ from vse import (
     kmeans_train,
     squared_l2,
 )
+from vse import Codebook, IvfPqIndex, PqParams
 from vse.ivf_pq import adc_table
 
 
@@ -213,3 +214,32 @@ def test_build_is_deterministic():
         assert np.array_equal(ca, cb)
     for ca, cb in zip(a.subs, b.subs):
         assert np.array_equal(ca.centroids, cb.centroids)
+
+
+def test_encode_files_a_vector_by_the_builds_assignment_rule():
+    """encode picks the coarse list and the codes with `assign`, as the
+    build does. Here `assign`'s f64 expansion and the canonical kernel
+    disagree on the nearer of two close centroids."""
+    coarse = Codebook(
+        k=2,
+        dim=2,
+        centroids=np.float32(
+            [[-142174.140625, 1119.1715087890625], [-142174.140625, 1119.17138671875]]
+        ),
+        inertia=0.0,
+    )
+    one = Codebook(k=1, dim=1, centroids=np.zeros((1, 1), dtype=np.float32), inertia=0.0)
+    idx = IvfPqIndex(
+        coarse=coarse,
+        params=PqParams(m=2),
+        subs=(one, one),
+        list_ids=(np.array([0]), np.array([], dtype=np.int64)),
+        list_codes=(np.zeros((1, 2), dtype=np.uint8), np.zeros((0, 2), dtype=np.uint8)),
+        labels=["x"],
+        normalized=False,
+    )
+    x = np.float32([-142174.125, 1119.1778564453125])
+    assert assign(x, coarse).labels[0] == 1
+    list_id, codes = ivf_pq_encode(idx, x)
+    assert list_id == 1
+    assert codes.tolist() == [0, 0]
