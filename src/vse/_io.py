@@ -1,6 +1,7 @@
 """Atomic file writes, the label line format shared by FVB, VIDX and the CLI,
-and the one reader both file formats are parsed with, which reports every
-fault at the byte offset of the bytes at fault."""
+the writer both file formats are assembled with, and the one reader both are
+parsed with, which reports every fault at the byte offset of the bytes at
+fault."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .core import DataError
 __all__ = [
     "FormatError",
     "Reader",
+    "Writer",
     "atomic_write_bytes",
     "encode_labels",
     "decode_labels",
@@ -34,9 +36,9 @@ class FormatError(DataError):
         self.offset = offset
 
 
-def atomic_write_bytes(path: str, *chunks: bytes) -> None:
-    """Write the chunks one after another via a temp file in the target
-    directory, then rename over."""
+def atomic_write_bytes(path: str, *chunks) -> None:
+    """Write the chunks (bytes-like) one after another via a temp file in
+    the target directory, then rename over."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -122,6 +124,25 @@ def read_label_file(path: str, count: int, error):
     with open(path, "rb") as fh:
         raw = fh.read()
     return read_labels(raw, count, error, what=f"labels file {path}", text_file=True)
+
+
+class Writer:
+    """A file's fields in order, as `parts` for atomic_write_bytes."""
+
+    def __init__(self) -> None:
+        self.parts: list[bytes | memoryview] = []
+
+    def raw(self, data: bytes | memoryview) -> None:
+        self.parts.append(data)
+
+    def pack(self, fmt: str, *values) -> None:
+        self.raw(struct.pack(fmt, *values))
+
+    def array(self, arr: np.ndarray, dtype: str) -> None:
+        # A byte view, not a copy, when arr already has the dtype and is
+        # contiguous: writing the parts then copies nothing.
+        flat = np.ascontiguousarray(arr, dtype=dtype).reshape(-1)
+        self.raw(memoryview(flat.view(np.uint8)))
 
 
 class Reader:

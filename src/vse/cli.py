@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -49,25 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive(value: int, name: str) -> int:
-    if value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return _positive(args.threads, "--threads")
-    env = os.environ.get("VSE_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"VSE_THREADS must be an integer, got {env!r}")
-        return _positive(n, "VSE_THREADS")
-    return 1
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -77,6 +57,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _read_csv(path: str) -> np.ndarray:
     rows: list[list[float]] = []
+    linenos: list[int] = []
     dim: int | None = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -95,12 +76,15 @@ def _read_csv(path: str) -> np.ndarray:
                 except ValueError:
                     raise DataError(f"row {lineno}: non-numeric cell {cell.strip()!r}")
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise DataError(f"{path} contains no data rows")
-    arr = np.asarray(rows, dtype=np.float32)
+    # The check is on the f32 values: 1e40 is a finite float but not a finite f32.
+    with np.errstate(over="ignore"):
+        arr = np.asarray(rows, dtype=np.float32)
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
-        raise DataError(f"row {int(np.argmin(finite)) + 1}: non-finite value")
+        raise DataError(f"row {linenos[int(np.argmin(finite))]}: non-finite value")
     return arr
 
 
@@ -156,9 +140,7 @@ def cmd_search(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     queries = read_embeddings(args.queries, labels_path=args.query_labels)
-    results = search_any(
-        index, queries, k=args.k, nprobe=args.nprobe, threads=_resolve_threads(args)
-    )
+    results = search_any(index, queries, k=args.k, nprobe=args.nprobe)
     labels = index.labels
     lines = ["query_idx\trank\tid\tlabel\tdist\n"]
     for qi, result in enumerate(results):
@@ -246,14 +228,7 @@ def cmd_eval(args) -> int:
     probes = read_embeddings(args.probes)
     known = set(gallery.labels)
     truth = [label if label in known else OUT_OF_GALLERY for label in probes.labels]
-    reports = run_benchmark(
-        gallery,
-        probes,
-        truth,
-        [config],
-        threshold=args.threshold,
-        threads=_resolve_threads(args),
-    )
+    reports = run_benchmark(gallery, probes, truth, [config], threshold=args.threshold)
     _emit_reports(args, reports)
     return 0
 
@@ -284,7 +259,6 @@ def cmd_bench(args) -> int:
         split.truth,
         default_bench_matrix(seed=args.seed),
         threshold=args.threshold,
-        threads=_resolve_threads(args),
     )
     _emit_reports(args, reports)
     return 0
@@ -319,7 +293,6 @@ def build_parser() -> _Parser:
     p.add_argument("--query-labels", help="labels sidecar for the queries")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--nprobe", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", help="TSV path (default: stdout)")
     p.set_defaults(func=cmd_search)
 
@@ -349,7 +322,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int)
     p.add_argument("--json", help="JSON report path")
     p.add_argument("--tsv", help="TSV report path (default: stdout)")
     p.set_defaults(func=cmd_eval)
@@ -363,7 +335,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in-gallery-fraction", type=float, default=0.8)
     p.add_argument("--probes-per-identity", type=int, default=3)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--threads", type=int)
     p.add_argument("--json", help="JSON report path")
     p.add_argument("--tsv", help="TSV report path (default: stdout)")
     p.set_defaults(func=cmd_bench)

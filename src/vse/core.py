@@ -160,11 +160,13 @@ def squared_l2(a, b) -> float:
     return float(np.sum(d * d))
 
 
-def squared_l2_batch(matrix: np.ndarray, query, out: np.ndarray | None = None) -> np.ndarray:
-    """Canonical-kernel distances from one query to every row of a matrix.
+def squared_l2_batch(matrix: np.ndarray, query) -> np.ndarray:
+    """Canonical-kernel distances from one query to every row of a matrix,
+    as a new f64 array.
 
-    Bitwise-identical to calling squared_l2 per row; blocks over rows so the
-    f64 intermediates stay small.
+    Bitwise-identical to calling squared_l2 per row, so a row's distance
+    does not depend on the rows around it; blocks over rows so the f64
+    intermediates stay small.
     """
     q = _as_vector(query, "query")
     if matrix.ndim != 2 or matrix.shape[1] != q.shape[0]:
@@ -173,8 +175,7 @@ def squared_l2_batch(matrix: np.ndarray, query, out: np.ndarray | None = None) -
         )
     n = matrix.shape[0]
     q64 = q.astype(np.float64)
-    if out is None:
-        out = np.empty(n, dtype=np.float64)
+    out = np.empty(n, dtype=np.float64)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         d = matrix[start:stop].astype(np.float64) - q64

@@ -139,15 +139,19 @@ def make_split(source: EmbeddingSet, spec: SplitSpec) -> Split:
     )
 
 
-def search_any(index, queries, k: int, nprobe: int | None = None, threads: int = 1) -> list[SearchResult]:
-    """Dispatch a search on the index's kind; a flat index ignores nprobe."""
+def search_any(index, queries, k: int, nprobe: int | None = None) -> list[SearchResult]:
+    """Dispatch a search on the index's kind; a flat index ignores nprobe.
+
+    Queries run one after another on the calling thread; see README,
+    "Thread counts".
+    """
     kind = getattr(index, "kind", None)
     if kind == FlatIndex.kind:
-        return flat_search(index, queries, k, threads=threads)
+        return flat_search(index, queries, k)
     if kind == IvfFlatIndex.kind:
-        return ivf_flat_search(index, queries, k, nprobe=nprobe, threads=threads)
+        return ivf_flat_search(index, queries, k, nprobe=nprobe)
     if kind == IvfPqIndex.kind:
-        return ivf_pq_search(index, queries, k, nprobe=nprobe, threads=threads)
+        return ivf_pq_search(index, queries, k, nprobe=nprobe)
     raise DataError(f"unsupported index type {type(index).__name__}")
 
 
@@ -264,7 +268,6 @@ def run_benchmark(
     truth: list[str],
     configs: list[StrategyConfig],
     threshold: float | None = None,
-    threads: int = 1,
 ) -> list[EvalReport]:
     """One EvalReport per config over a fixed gallery/probe/truth triple.
 
@@ -287,7 +290,7 @@ def run_benchmark(
         results: list[SearchResult] = []
         for _ in range(3):
             t0 = time.perf_counter()
-            results = search_any(index, probes, k=1, nprobe=nprobe, threads=threads)
+            results = search_any(index, probes, k=1, nprobe=nprobe)
             times.append(time.perf_counter() - t0)
         total_s = float(np.median(times))
         predicted = [_top1_label(index, r, threshold) for r in results]

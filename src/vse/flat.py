@@ -90,7 +90,10 @@ def run_per_query(n_queries: int, threads: int, worker) -> list:
     """Run `worker(i)` for each query index, optionally across a thread pool.
 
     Results land in query order whatever the thread count; workers touch
-    only read-only index state and their own output slot.
+    only read-only index state and their own output slot. The pool never
+    measured faster than one thread over numpy's default BLAS threads
+    beyond the host's spread (README, "Thread counts"). It stays only while
+    bench/workloads.py passes `threads=1` to the three searches.
     """
     results: list = [None] * n_queries
     if threads <= 1 or n_queries <= 1:
@@ -159,7 +162,10 @@ def exact_candidates(
 
 
 def flat_search(index: FlatIndex, queries, k: int, threads: int = 1) -> list[SearchResult]:
-    """Exactly the k nearest base vectors per query, ties by ascending id."""
+    """Exactly the k nearest base vectors per query, ties by ascending id.
+
+    `threads` is kept for the benchmark's calls; see run_per_query.
+    """
     q = query_matrix(queries, index.dim)
     if not 1 <= k <= index.count:
         raise DataError(f"k must be in [1, {index.count}], got {k}")

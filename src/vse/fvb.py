@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from ._io import FormatError, Reader, atomic_write_bytes, encode_labels, read_label_file
+from ._io import FormatError, Reader, Writer, atomic_write_bytes, encode_labels, read_label_file
 from .core import EmbeddingSet
 
 __all__ = ["FvbFormatError", "read_embeddings", "write_embeddings", "default_labels_path"]
@@ -37,13 +37,15 @@ def default_labels_path(path: str) -> str:
 
 
 def write_embeddings(embeddings: EmbeddingSet, path: str, labels_path: str | None = None) -> None:
-    """Write an FVB file and its labels sidecar atomically."""
+    """Write an FVB file and its labels sidecar atomically. The vectors go
+    to the file as a view of the set's own memory, not a copy."""
     labels = encode_labels(embeddings.labels)
-    header = _HEADER.pack(
+    w = Writer()
+    w.raw(_HEADER.pack(
         _MAGIC, _VERSION, embeddings.dim, embeddings.count, int(embeddings.normalized)
-    )
-    payload = np.ascontiguousarray(embeddings.vectors, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    ))
+    w.array(embeddings.vectors, "<f4")
+    atomic_write_bytes(path, *w.parts)
     atomic_write_bytes(labels_path or default_labels_path(path), labels)
 
 

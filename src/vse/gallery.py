@@ -105,8 +105,8 @@ def clean_identity(folder: IdentityFolder, seed: int = 0) -> CleanReport:
             threshold=2.0 * avg,
         )
     codebook = kmeans_train(x, 2, seed=seed)
-    labels = assign(x, codebook).labels
-    counts = np.bincount(labels, minlength=2)
+    split = assign(x, codebook)
+    labels, counts = split.labels, split.counts
     if counts[0] != counts[1]:
         main = int(np.argmax(counts))
     else:
@@ -116,10 +116,10 @@ def clean_identity(folder: IdentityFolder, seed: int = 0) -> CleanReport:
         ]
         main = 0 if inertias[0] <= inertias[1] else 1
     center = codebook.centroids[main]
-    member_d = _euclidean_to(center, x[labels == main])
-    avg = float(np.mean(member_d))
-    threshold = 2.0 * avg
+    # Each row's distance is computed on its own, so the members' are a subset.
     all_d = _euclidean_to(center, x)
+    avg = float(np.mean(all_d[labels == main]))
+    threshold = 2.0 * avg
     removed = np.flatnonzero(all_d > threshold).astype(np.int64)
     kept = np.flatnonzero(~(all_d > threshold)).astype(np.int64)
     return CleanReport(

@@ -161,6 +161,7 @@ def ivf_flat_search(
     """Scan the nprobe nearest lists, rank candidates by exact distance.
 
     Fewer than k candidates in the probed lists returns the short list.
+    `threads` is kept for the benchmark's calls; see flat.run_per_query.
     """
 
     def score_list(query: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:

@@ -35,16 +35,14 @@ KSUB = 256  # byte codes: one u8 per subspace per vector
 
 @dataclass(frozen=True)
 class PqParams:
-    """Product-quantizer shape: m subspaces, 256-entry sub-codebooks."""
+    """Product-quantizer shape: m subspaces, each with a sub-codebook of at
+    most KSUB entries."""
 
     m: int
-    ksub: int = KSUB
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise DataError(f"m must be >= 1, got {self.m}")
-        if self.ksub != KSUB:
-            raise DataError(f"ksub is fixed at {KSUB}, got {self.ksub}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,10 @@ def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> list[np.nda
 def ivf_pq_search(
     index: IvfPqIndex, queries, k: int, nprobe: int | None = None, threads: int = 1
 ) -> list[SearchResult]:
-    """Rank candidates in the nprobe nearest lists by summed table lookups."""
+    """Rank candidates in the nprobe nearest lists by summed table lookups.
+
+    `threads` is kept for the benchmark's calls; see flat.run_per_query.
+    """
 
     def score_list(query: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
         codes = index.list_codes[c]

@@ -8,8 +8,9 @@ through this trainer, so its determinism rules are strict:
 * empty clusters are repaired from the largest cluster's farthest point,
 * centroid means accumulate in f64 over members in ascending row order,
   then round to f32 (the storage dtype),
-* inertia is recomputed with the canonical distance kernel, never carried
-  over from the assignment fast path.
+* inertia is computed once, from the final centroids and labels, with the
+  canonical distance kernel, never carried over from the assignment fast
+  path.
 
 Two runs with the same (data, k, max_iters, seed) are bitwise identical.
 """
@@ -171,16 +172,15 @@ def kmeans_train(data, k: int, max_iters: int = 25, seed: int = 0) -> Codebook:
     centroids = x[rng.choice(n, size=k, replace=False)].copy()
     labels = _assign_labels(x, centroids)
     centroids = _repair_empty(x, labels, centroids)
-    inertia = _inertia(x, centroids, labels)
     for _ in range(max_iters):
         centroids = _mean_update(x, labels, k)
         new_labels = _assign_labels(x, centroids)
         centroids = _repair_empty(x, new_labels, centroids)
-        inertia = _inertia(x, centroids, new_labels)
         converged = bool(np.array_equal(new_labels, labels))
         labels = new_labels
         if converged:
             break
+    inertia = _inertia(x, centroids, labels)
     return Codebook(k=k, dim=x.shape[1], centroids=centroids, inertia=inertia)
 
 

@@ -4,10 +4,11 @@ Layout: magic "VIDX", u32 version (1), u8 kind (0 flat, 1 ivf-flat,
 2 ivf-pq), u32 dim, u64 count, u8 normalized flag, a labels block (u64
 size, then one "\n"-ended UTF-8 line per label), a kind-specific payload,
 and a trailing u64 CRC-64 over every preceding byte. Flat stores count*dim
-f32. Both IVF kinds store the coarse codebook (ivf-pq then u32 m, u32 ksub
-and m sub-codebooks) and nlist posting lists, each a u64 length, the
-length's i64 ids and their f32 vectors or u8 codes. Codebooks serialize as
-(u32 k, u32 dim, f64 inertia, k*dim f32). Loading verifies the checksum
+f32. Both IVF kinds store the coarse codebook (ivf-pq then u32 m, u32 ksub,
+always 256, and m sub-codebooks of at most ksub entries) and nlist posting
+lists, each a u64 length, the length's i64 ids and their f32 vectors or u8
+codes. Codebooks serialize as (u32 k, u32 dim, f64 inertia, k*dim f32).
+Loading verifies the checksum
 before trusting any payload length, then parses the file with the reader
 FVB files share (`_io.Reader`, `_io.read_labels`), so every fault is
 reported at its byte offset. A labels block whose line count is not the
@@ -34,11 +35,11 @@ import struct
 
 import numpy as np
 
-from ._io import FormatError, Reader, atomic_write_bytes, encode_labels, read_labels
+from ._io import FormatError, Reader, Writer, atomic_write_bytes, encode_labels, read_labels
 from .core import DataError, EmbeddingSet
 from .flat import FlatIndex
 from .ivf_flat import IvfFlatIndex
-from .ivf_pq import IvfPqIndex, PqParams
+from .ivf_pq import KSUB, IvfPqIndex, PqParams
 from .kmeans import Codebook
 
 __all__ = ["VidxFormatError", "save_index", "load_index", "crc64"]
@@ -178,21 +179,7 @@ class VidxFormatError(FormatError):
     """Malformed VIDX file; `offset` is the byte position of the problem."""
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes | memoryview] = []
-
-    def raw(self, data: bytes | memoryview) -> None:
-        self.parts.append(data)
-
-    def pack(self, fmt: str, *values) -> None:
-        self.raw(struct.pack(fmt, *values))
-
-    def array(self, arr: np.ndarray, dtype: str) -> None:
-        # A byte view, not a copy: joining the parts makes the only copy.
-        flat = np.ascontiguousarray(arr, dtype=dtype).reshape(-1)
-        self.raw(memoryview(flat.view(np.uint8)))
-
+class _Writer(Writer):
     def labels(self, labels: list[str]) -> None:
         blob = encode_labels(labels)
         self.pack("<Q", len(blob))
@@ -203,11 +190,18 @@ class _Writer:
         self.array(cb.centroids, "<f4")
 
 
-def _codebook(r: Reader, what: str) -> Codebook:
+def _codebook(r: Reader, what: str, dim: int, max_k: int | None = None) -> Codebook:
+    """The next codebook, which must have `dim` and at most `max_k` entries;
+    a k past max_k is reported at the codebook, a wrong dim at its end."""
     at = r.pos
-    k, dim, inertia = r.unpack("<IId", f"{what} k, dim and inertia")
-    cents = r.array(k * dim, "<f4", f"{what} centroids").reshape(k, dim)
-    return r.build(at, Codebook, k=k, dim=dim, centroids=cents, inertia=inertia)
+    k, got, inertia = r.unpack("<IId", f"{what} k, dim and inertia")
+    if max_k is not None and k > max_k:
+        raise VidxFormatError(f"{what} has k={k} > {max_k}", offset=at)
+    cents = r.array(k * got, "<f4", f"{what} centroids").reshape(k, got)
+    cb = r.build(at, Codebook, k=k, dim=got, centroids=cents, inertia=inertia)
+    if got != dim:
+        raise VidxFormatError(f"{what} dim {got} does not match {dim}", offset=r.pos)
+    return cb
 
 
 def save_index(index, path: str) -> None:
@@ -224,7 +218,7 @@ def save_index(index, path: str) -> None:
     else:
         w.codebook(index.coarse)
         if kind == IvfPqIndex.kind:
-            w.pack("<II", index.m, index.params.ksub)
+            w.pack("<II", index.m, KSUB)
             for cb in index.subs:
                 w.codebook(cb)
             payloads, dtype = index.list_codes, "u1"
@@ -270,20 +264,16 @@ def load_index(path: str):
         )
         return FlatIndex(base=base)
 
-    coarse = _codebook(r, "coarse codebook")
-    if coarse.dim != dim:
-        raise VidxFormatError(
-            f"coarse codebook dim {coarse.dim} does not match header dim {dim}",
-            offset=r.pos,
-        )
+    coarse = _codebook(r, "coarse codebook", dim)
     if kind == IvfPqIndex.kind:
         params_at = r.pos
         m, ksub = r.unpack("<II", "m and ksub")
-        params = r.build(params_at, PqParams, m=m, ksub=ksub)
+        params = r.build(params_at, PqParams, m=m)
+        if ksub != KSUB:
+            raise VidxFormatError(f"ksub is fixed at {KSUB}, got {ksub}", offset=params_at + 4)
         if dim % m != 0:
             raise VidxFormatError(f"dim {dim} not divisible by m={m}", offset=params_at)
-        subs_at = r.pos
-        subs = tuple(_codebook(r, f"sub-codebook {j}") for j in range(m))
+        subs = tuple(_codebook(r, f"sub-codebook {j}", dim // m, KSUB) for j in range(m))
         width, dtype, what = m, "u1", "codes"
     else:
         width, dtype, what = dim, "<f4", "vectors"
@@ -297,8 +287,8 @@ def load_index(path: str):
     fields = dict(coarse=coarse, list_ids=tuple(list_ids), labels=labels, normalized=normalized)
     if kind == IvfFlatIndex.kind:
         return r.build(lists_at, IvfFlatIndex, label_at, list_vectors=tuple(payloads), **fields)
-    # Past the reader's own checks, IvfPqIndex can only fault a label, the
-    # sub-codebooks' shapes or the lists that follow them: ids that do not
-    # partition the rows, or codes past their sub-codebook.
+    # The codebooks are checked above, so IvfPqIndex can only fault a label
+    # or the lists: ids that do not partition the rows, or codes past their
+    # sub-codebook.
     fields.update(params=params, subs=subs, list_codes=tuple(payloads))
-    return r.build(subs_at, IvfPqIndex, label_at, **fields)
+    return r.build(lists_at, IvfPqIndex, label_at, **fields)

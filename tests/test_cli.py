@@ -1,11 +1,12 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from vse import DataError, EmbeddingSet, StrategyConfig, read_embeddings, write_embeddings
-from vse.cli import main
+from vse.cli import build_parser, main
 
 
 def run(argv):
@@ -80,6 +81,20 @@ def test_ingest_non_numeric_csv_names_row(tmp_path, capsys):
     out = tmp_path / "bad.fvb"
     assert run(["ingest", "--input", str(csv), "--out", str(out)]) == 2
     assert "row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "1e40"])
+def test_ingest_non_finite_csv_names_file_line(tmp_path, capsys, value):
+    """After a blank line the data row and the file line differ; the error
+    names the line, as a ragged row does. 1e40 is finite only before the
+    cast to f32, and the cast warns nothing."""
+    csv = tmp_path / "bad.csv"
+    open(csv, "w").write(f"1,2\n\n3,4\n{value},5\n")
+    out = tmp_path / "bad.fvb"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["ingest", "--input", str(csv), "--out", str(out)]) == 2
+    assert "row 4: non-finite value" in capsys.readouterr().err
 
 
 def test_build_and_search_self_hit(tmp_path, capsys):
@@ -344,6 +359,18 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("VSE_THREADS")
     assert run(["search", "--index", str(idx), "--queries", str(queries)]) == 0
     assert capsys.readouterr().out == with_env
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--index", "i.vidx", "--queries", "q.fvb"],
+    ["eval", "--gallery", "g.fvb", "--probes", "p.fvb", "--kind", "flat", "--seed", "0"],
+    ["bench", "--seed", "0", "--identities", "150", "--per-identity", "8", "--dim", "32",
+     "--probes-per-identity", "2"],
+])
+def test_threads_is_an_unknown_flag(capsys, argv):
+    build_parser().parse_args(argv)  # valid without it
+    assert run(argv + ["--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):

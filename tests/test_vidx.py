@@ -18,6 +18,7 @@ from vse import (
     ivf_pq_search,
     load_index,
     save_index,
+    write_embeddings,
 )
 from vse.vidx import crc64
 
@@ -300,3 +301,54 @@ def test_save_holds_one_copy_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * os.path.getsize(path)
+
+
+def test_fvb_write_holds_no_copy_of_the_file(tmp_path):
+    """The vectors go to an FVB file as a view of the set, so writing 5 MB
+    peaks far under the file size."""
+    rows = np.random.default_rng(15).standard_normal((20_000, 64)).astype(np.float32)
+    es = EmbeddingSet(vectors=rows, labels=["a"] * 20_000)
+    path = str(tmp_path / "big.fvb")
+    tracemalloc.start()
+    try:
+        write_embeddings(es, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * os.path.getsize(path)
+
+
+def _pq_file(tmp_path):
+    """An ivf_pq index of 300x8 rows, its file body (no CRC), and where its
+    m and ksub fields and its posting lists start."""
+    idx = ivf_pq_build(random_set(300, 8, seed=14), nlist=4, m=2, seed=14, max_iters=3)
+    path = str(tmp_path / "p.vidx")
+    save_index(idx, path)
+    body = open(path, "rb").read()[:-8]
+    lists_at = len(body) - sum(8 + ids.shape[0] * (8 + idx.m) for ids in idx.list_ids)
+    params_at = lists_at - 8 - sum(16 + 4 * cb.k * cb.dim for cb in idx.subs)
+    return idx, path, body, params_at, lists_at
+
+
+def _rewrite(path, body):
+    open(path, "wb").write(body + struct.pack("<Q", crc64(body)))
+
+
+def test_ivf_pq_list_fault_is_reported_in_the_lists(tmp_path):
+    idx, path, body, _, lists_at = _pq_file(tmp_path)
+    ids = next(ids for ids in idx.list_ids if ids.shape[0] >= 2)
+    old = ids.astype("<i8").tobytes()
+    at = body.index(old)
+    _rewrite(path, body[:at] + old[:8] + old[:8] + body[at + 16 :])
+    with pytest.raises(VidxFormatError, match="partition") as e:
+        load_index(path)
+    assert lists_at <= e.value.offset <= at
+
+
+def test_ksub_other_than_256_is_refused_at_its_field(tmp_path):
+    _, path, body, params_at, _ = _pq_file(tmp_path)
+    assert struct.unpack_from("<II", body, params_at) == (2, 256)
+    _rewrite(path, body[: params_at + 4] + struct.pack("<I", 128) + body[params_at + 8 :])
+    with pytest.raises(VidxFormatError, match="ksub") as e:
+        load_index(path)
+    assert e.value.offset == params_at + 4
