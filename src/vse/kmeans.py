@@ -4,10 +4,13 @@ The coarse quantizer, the PQ sub-codebooks, and gallery cleaning all train
 through this trainer, so its determinism rules are strict:
 
 * init picks k distinct rows with one seeded generator draw,
-* assignment ties go to the lower centroid index,
+* assignment ranks centroids by the f64 expansion ((-2x.c) + |x|^2) + |c|^2,
+  in row blocks sized by k, with ties to the lower centroid index; the
+  expansion can pick the farther of two centroids whose squared distances
+  differ by less than about |x|^2 * 2^-52,
 * empty clusters are repaired from the largest cluster's farthest point,
 * centroid means accumulate in f64 over members in ascending row order,
-  then round to f32 (the storage dtype),
+  for every dimension, then round to f32 (the storage dtype),
 * inertia is computed once, from the final centroids and labels, with the
   canonical distance kernel, never carried over from the assignment fast
   path.
@@ -25,7 +28,10 @@ from .core import DataError, EmbeddingSet, squared_l2_batch
 
 __all__ = ["Codebook", "Assignment", "kmeans_train", "assign"]
 
+# Rows per f64 block of the inertia, and per run of assignment blocks.
 _BLOCK_ROWS = 16384
+# f64 distances per assignment block (512 KiB).
+_BLOCK_ELEMS = 65536
 
 
 @dataclass(frozen=True)
@@ -82,22 +88,45 @@ def _data_matrix(data) -> np.ndarray:
     return arr
 
 
+def _row_blocks(n: int, k: int):
+    """(start, stop) row blocks for ranking n rows against k centroids.
+
+    A block holds `rows` rows, the power of two that keeps its rows x k f64
+    distances near _BLOCK_ELEMS elements, so the block stays in cache. No
+    block straddles a multiple of _BLOCK_ROWS, and the last block of each
+    run of _BLOCK_ROWS rows takes the leftover rows, so a block is shorter
+    than `rows` only when it is a whole run. BLAS picks its kernel from a
+    block's shape, and a block of one or a few rows goes through a
+    matrix-vector or small-matrix kernel that orders each dot product's
+    sum differently. With these two rules every row meets the kernel it
+    would meet in whole-run blocks, so no label depends on `rows`.
+    """
+    rows = 1 << max(3, (_BLOCK_ELEMS // k).bit_length() - 1)
+    for run in range(0, n, _BLOCK_ROWS):
+        stop = min(run + _BLOCK_ROWS, n)
+        last = run + max(0, (stop - run) // rows - 1) * rows
+        for start in range(run, last, rows):
+            yield start, start + rows
+        yield last, stop
+
+
 def _assign_labels(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels, ties to the lower index.
 
-    Ranking uses the |x|^2 - 2xc + |c|^2 expansion in f64 (one GEMM per
-    block). This is a fast path for the argmin only; any distance that is
-    reported or summed into inertia goes back through the canonical kernel.
+    Ranking uses the ((-2x.c) + |x|^2) + |c|^2 expansion in f64, one GEMM
+    per block of _row_blocks. This is a fast path for the argmin only; any
+    distance that is reported or summed into inertia goes back through the
+    canonical kernel.
     """
     c64 = centroids.astype(np.float64)
     csq = np.einsum("ij,ij->i", c64, c64)
-    n = x.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+    # Scaling f32-range values by a power of two is exact, so the GEMM
+    # gives -2x.c bit for bit, as if its result were scaled.
+    c64 *= -2.0
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    for start, stop in _row_blocks(x.shape[0], c64.shape[0]):
         b = x[start:stop].astype(np.float64)
         g = b @ c64.T
-        g *= -2.0
         g += np.einsum("ij,ij->i", b, b)[:, None]
         g += csq[None, :]
         labels[start:stop] = np.argmin(g, axis=1)
@@ -143,12 +172,29 @@ def _inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _mean_update(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.empty((k, x.shape[1]), dtype=np.float32)
-    for j in range(k):
-        members = x[labels == j]
-        out[j] = (members.astype(np.float64).sum(axis=0) / members.shape[0]).astype(
-            np.float32
+    """Per-cluster f64 means rounded to f32; every cluster must have a member.
+
+    One `bincount` per block of columns adds each (label, column) bin's
+    weights in ascending row order, as the module docstring states, for
+    every d. Blocks split columns, never rows: per-block partial sums would
+    reorder the f64 adds. The block is wide enough that few-row calls take
+    all columns at once.
+    """
+    n, d = x.shape
+    counts = np.bincount(labels, minlength=k)[:, None]
+    out = np.empty((k, d), dtype=np.float32)
+    width = min(d, max(32, _BLOCK_ELEMS // n))
+    for c0 in range(0, d, width):
+        w = min(width, d - c0)
+        if c0 == 0 or w < width:
+            # one bin index serves every full-width block
+            bins = (labels[:, None] * w + np.arange(w)).ravel()
+        sums = np.bincount(
+            bins,
+            weights=x[:, c0 : c0 + w].astype(np.float64).ravel(),
+            minlength=k * w,
         )
+        out[:, c0 : c0 + w] = sums.reshape(k, w) / counts
     return out
 
 

@@ -3,7 +3,8 @@
 Everything here is written against the public contracts only, in the
 plainest form possible (per-row loops, full sorts), so that agreement
 with the library is evidence rather than tautology. Only numpy and the
-standard library are used.
+standard library are used. The k-means loops of vse 0.4.0 are kept
+here verbatim too, so later versions can be held to the same bits.
 """
 
 import struct
@@ -91,6 +92,67 @@ def lloyd_reference(x, k, max_iters=25, seed=0):
         if same:
             break
     return cents, labels, inertia
+
+
+# The fixed row block of vse 0.4.0's k-means assignment.
+_BLOCK_ROWS = 16384
+
+
+def assign_labels_v040(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The assignment of vse 0.4.0, kept to test later versions against.
+
+    Nearest-centroid labels, ties to the lower index.
+
+    Ranking uses the |x|^2 - 2xc + |c|^2 expansion in f64 (one GEMM per
+    block). This is a fast path for the argmin only; any distance that is
+    reported or summed into inertia goes back through the canonical kernel.
+    """
+    c64 = centroids.astype(np.float64)
+    csq = np.einsum("ij,ij->i", c64, c64)
+    n = x.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        b = x[start:stop].astype(np.float64)
+        g = b @ c64.T
+        g *= -2.0
+        g += np.einsum("ij,ij->i", b, b)[:, None]
+        g += csq[None, :]
+        labels[start:stop] = np.argmin(g, axis=1)
+    return labels
+
+
+def mean_update_v040(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The mean update of vse 0.4.0: one boolean mask per cluster.
+
+    For d >= 2 numpy sums each column in ascending row order; for d = 1
+    it collapses the slice to 1-d and sums pairwise.
+    """
+    out = np.empty((k, x.shape[1]), dtype=np.float32)
+    for j in range(k):
+        members = x[labels == j]
+        out[j] = (members.astype(np.float64).sum(axis=0) / members.shape[0]).astype(
+            np.float32
+        )
+    return out
+
+
+def mean_update_sequential(x, labels, k):
+    """Per-cluster means: each column summed one row at a time.
+
+    Python floats (IEEE f64) start at 0.0 and add the members in ascending
+    row order; each sum is divided by the member count and rounded to f32.
+    Every cluster must have a member.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    sums = [[0.0] * x.shape[1] for _ in range(k)]
+    counts = [0] * k
+    for row, j in zip(x.tolist(), np.asarray(labels).tolist()):
+        counts[j] += 1
+        acc = sums[j]
+        for c, v in enumerate(row):
+            acc[c] += v
+    return np.float32([[v / counts[j] for v in sums[j]] for j in range(k)])
 
 
 _CRC_POLY = 0xC96C5795D7870F42  # CRC-64/XZ: 0x42f0e1eba9ea3693 bit-reflected
