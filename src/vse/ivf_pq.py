@@ -3,19 +3,20 @@
 Vectors are filed under a coarse quantizer as byte codes: the residual
 (vector minus its coarse centroid) is split into m slices, each quantized
 against its own sub-codebook of up to 256 centroids. A query never decodes
-candidates; it builds one table of slice-to-centroid distances per probed
-list and sums m lookups per candidate. Distances in results are those
-estimates, so every result is flagged approximate.
+candidates; per probed list it builds all m tables of slice-to-centroid
+distances in one pass over the stacked sub-codebooks, and sums m lookups
+per candidate. Distances in results are those estimates, so every result
+is flagged approximate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, SearchResult, squared_l2_batch
+from .core import DataError, EmbeddingSet, SearchResult
 from .flat import query_matrix
 from .ivf_flat import check_posting_lists, coarse_lists, ivf_search
 from .kmeans import Codebook, assign, kmeans_train
@@ -55,6 +56,9 @@ class IvfPqIndex:
     list_codes: tuple[np.ndarray, ...]
     labels: list[str]
     normalized: bool
+    # The sub-codebooks as one read-only (m, KSUB, subdim) f64 array. Rows
+    # at b >= subs[j].k are zero padding, which no valid code reaches.
+    stacked_subs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.params.m
@@ -75,6 +79,11 @@ class IvfPqIndex:
                 raise DataError("code block shape does not match its posting list")
             if codes.shape[0] and np.any(codes.max(axis=0) >= caps):
                 raise DataError("code byte indexes past its sub-codebook")
+        stacked = np.zeros((m, KSUB, sub), dtype=np.float64)
+        for j, cb in enumerate(self.subs):
+            stacked[j, : cb.k] = cb.centroids
+        stacked.setflags(write=False)
+        object.__setattr__(self, "stacked_subs", stacked)
 
     @property
     def nlist(self) -> int:
@@ -177,29 +186,32 @@ def ivf_pq_decode(index: IvfPqIndex, list_id: int, codes) -> np.ndarray:
     c = np.asarray(codes, dtype=np.int64)
     if c.shape != (index.m,):
         raise DataError(f"expected {index.m} codes, got shape {c.shape}")
-    out = index.coarse.centroids[list_id].astype(np.float64).copy()
-    sub = index.subdim
-    for j in range(index.m):
-        if not 0 <= c[j] < index.subs[j].k:
-            raise DataError(
-                f"code {int(c[j])} out of range [0, {index.subs[j].k}) in subspace {j}"
-            )
-        out[j * sub : (j + 1) * sub] += index.subs[j].centroids[c[j]].astype(np.float64)
+    caps = np.array([cb.k for cb in index.subs])
+    bad = np.flatnonzero((c < 0) | (c >= caps))
+    if bad.size:
+        j = int(bad[0])
+        raise DataError(f"code {int(c[j])} out of range [0, {caps[j]}) in subspace {j}")
+    out = index.coarse.centroids[list_id].astype(np.float64)
+    out += index.stacked_subs[np.arange(index.m), c].ravel()
     return out.astype(np.float32)
 
 
-def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> list[np.ndarray]:
-    """Per-subspace distance table for one (query, probed list) pair.
+def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> np.ndarray:
+    """All m distance tables for one (query, probed list) pair, as (m, KSUB).
 
-    Entry [j][b] is the canonical squared L2 between slice j of the query's
-    residual against this list's centroid and sub-centroid b.
+    Entry [j, b] is the canonical squared L2 between slice j of the query's
+    residual against this list's centroid and sub-centroid b: the same bits
+    as squared_l2_batch(subs[j].centroids, slice j), as both sum over the
+    last axis of a contiguous f64 array. Entries at b >= subs[j].k are
+    padding; no valid code reaches them.
     """
     r = _residuals(np.asarray(query, dtype=np.float32), index.coarse.centroids[list_id])
-    sub = index.subdim
-    return [
-        squared_l2_batch(index.subs[j].centroids, r[j * sub : (j + 1) * sub])
-        for j in range(index.m)
-    ]
+    if not np.isfinite(r).all():
+        # A finite query can still overflow f32 once its centroid is taken off.
+        raise DataError("query contains NaN or infinity")
+    d = index.stacked_subs - r.astype(np.float64).reshape(index.m, 1, index.subdim)
+    np.square(d, out=d)
+    return d.sum(axis=2)
 
 
 def ivf_pq_search(
@@ -210,12 +222,12 @@ def ivf_pq_search(
     `threads` is kept for the benchmark's calls; see flat.run_per_query.
     """
 
+    # Code byte b of subspace j is entry j * KSUB + b of the flattened tables.
+    offsets = KSUB * np.arange(index.m)
+
     def score_list(query: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-        codes = index.list_codes[c]
         tables = adc_table(index, query, int(c))
-        lookups = np.empty((codes.shape[0], index.m), dtype=np.float64)
-        for j in range(index.m):
-            lookups[:, j] = tables[j][codes[:, j]]
-        return index.list_ids[c], lookups.sum(axis=1)
+        terms = tables.ravel()[index.list_codes[c] + offsets]
+        return index.list_ids[c], terms.sum(axis=1)
 
     return ivf_search(index, queries, k, nprobe, threads, score_list, exact=False)

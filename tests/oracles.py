@@ -3,8 +3,9 @@
 Everything here is written against the public contracts only, in the
 plainest form possible (per-row loops, full sorts), so that agreement
 with the library is evidence rather than tautology. Only numpy and the
-standard library are used. The k-means loops of vse 0.4.0 are kept
-here verbatim too, so later versions can be held to the same bits.
+standard library are used. The k-means loops of vse 0.4.0 and the ADC
+loop of vse 0.4.1 are kept here verbatim too, so later versions can be
+held to the same bits.
 """
 
 import struct
@@ -153,6 +154,63 @@ def mean_update_sequential(x, labels, k):
         for c, v in enumerate(row):
             acc[c] += v
     return np.float32([[v / counts[j] for v in sums[j]] for j in range(k)])
+
+
+def adc_table_v041(index, query, list_id):
+    """The ADC tables of vse 0.4.1, kept to test later versions against.
+
+    One f64 table per subspace: entry [j][b] is the canonical squared L2
+    between slice j of the query's residual against the list's coarse
+    centroid and sub-centroid b. The library's `_residuals` and
+    `squared_l2_batch` (one row block, as k <= 256) are written out inline.
+    """
+    r = (
+        np.asarray(query, dtype=np.float32).astype(np.float64)
+        - index.coarse.centroids[list_id].astype(np.float64)
+    ).astype(np.float32)
+    sub = index.subdim
+    tables = []
+    for j in range(index.m):
+        d = index.subs[j].centroids.astype(np.float64) - r[j * sub : (j + 1) * sub].astype(
+            np.float64
+        )
+        np.square(d, out=d)
+        tables.append(d.sum(axis=1))
+    return tables
+
+
+def score_list_v041(index, query, c):
+    """vse 0.4.1's ivf_pq list scorer: one lookup column per subspace, summed."""
+    codes = index.list_codes[c]
+    tables = adc_table_v041(index, query, int(c))
+    lookups = np.empty((codes.shape[0], index.m), dtype=np.float64)
+    for j in range(index.m):
+        lookups[:, j] = tables[j][codes[:, j]]
+    return index.list_ids[c], lookups.sum(axis=1)
+
+
+def ivf_pq_search_v041(index, queries, k, nprobe):
+    """ivf_pq search with vse 0.4.1's ADC, probes and top k by full sorts.
+
+    Each query probes the nprobe coarse centroids nearest by (canonical
+    squared L2, list id), scores every row of those lists with
+    score_list_v041, and keeps the k smallest by (estimate, row id).
+    Returns (ids, dists) pairs, one per query.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    coarse = index.coarse.centroids.astype(np.float64)
+    list_nums = np.arange(coarse.shape[0])
+    out = []
+    for q in queries:
+        diff = coarse - q.astype(np.float64)
+        near = (diff * diff).sum(axis=1)
+        probes = np.lexsort((list_nums, near))[:nprobe]
+        parts = [score_list_v041(index, q, c) for c in probes]
+        ids = np.concatenate([p[0] for p in parts]).astype(np.int64)
+        dists = np.concatenate([p[1] for p in parts])
+        order = np.lexsort((ids, dists))[:k]
+        out.append((ids[order], dists[order]))
+    return out
 
 
 _CRC_POLY = 0xC96C5795D7870F42  # CRC-64/XZ: 0x42f0e1eba9ea3693 bit-reflected

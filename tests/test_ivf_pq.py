@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constructions import (
     LOSSLESS_ANCHORS,
@@ -10,12 +12,15 @@ from constructions import (
     centroid_only_set,
     lossless_set,
 )
+from oracles import ivf_pq_search_v041
 from vse import (
     DataError,
     EmbeddingSet,
     assign,
     flat_build,
     flat_search,
+    ivf_flat_build,
+    ivf_flat_search,
     ivf_pq_build,
     ivf_pq_decode,
     ivf_pq_encode,
@@ -23,6 +28,7 @@ from vse import (
     ivf_pq_train,
     kmeans_train,
     squared_l2,
+    squared_l2_batch,
 )
 from vse import Codebook, IvfPqIndex, PqParams
 from vse.ivf_pq import adc_table
@@ -243,3 +249,164 @@ def test_encode_files_a_vector_by_the_builds_assignment_rule():
     list_id, codes = ivf_pq_encode(idx, x)
     assert list_id == 1
     assert codes.tolist() == [0, 0]
+
+
+def constructed_index(seed, m, subdim, nlist, count, small_k, small_ints):
+    """An IvfPqIndex drawn at random, with no training.
+
+    Some lists are left empty. With small_k every sub-codebook has fewer
+    than 256 entries, otherwise most have 256. small_ints draws every value
+    from a few integers, so estimates tie across rows and lists.
+    """
+    rng = np.random.default_rng(seed)
+    dim = m * subdim
+
+    def values(shape, scale):
+        if small_ints:
+            return rng.integers(-2, 3, shape).astype(np.float32)
+        return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+    ks = rng.integers(1, 9, m) if small_k else rng.choice([1, 2, 7, 255, 256, 256, 256], m)
+    subs = tuple(
+        Codebook(k=int(k), dim=subdim, centroids=values((int(k), subdim), 1.0), inertia=0.0)
+        for k in ks
+    )
+    coarse = Codebook(k=nlist, dim=dim, centroids=values((nlist, dim), 4.0), inertia=0.0)
+    used = rng.choice(nlist, size=int(rng.integers(1, nlist + 1)), replace=False)
+    owner = rng.choice(used, size=count)
+    codes = rng.integers(0, ks, (count, m)).astype(np.uint8)
+    list_ids = tuple(np.flatnonzero(owner == c) for c in range(nlist))
+    idx = IvfPqIndex(
+        coarse=coarse,
+        params=PqParams(m=m),
+        subs=subs,
+        list_ids=list_ids,
+        list_codes=tuple(np.ascontiguousarray(codes[ids]) for ids in list_ids),
+        labels=[f"r{i}" for i in range(count)],
+        normalized=False,
+    )
+    return idx, values((8, dim), 4.0)
+
+
+@st.composite
+def pq_cases(draw):
+    subdim = draw(st.sampled_from([1, 3, 8, 16, 24]))
+    # subdim 1 is m == dim, one sub-codebook per coordinate.
+    m = draw(st.integers(1, 24 if subdim == 1 else 6))
+    nlist = draw(st.integers(1, 6))
+    idx, queries = constructed_index(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        m=m,
+        subdim=subdim,
+        nlist=nlist,
+        count=draw(st.integers(1, 80)),
+        small_k=draw(st.booleans()),
+        small_ints=draw(st.booleans()),
+    )
+    nq = draw(st.sampled_from([1, 5]))
+    nprobe = draw(st.sampled_from([1, nlist, (nlist + 1) // 2]))
+    k = draw(st.sampled_from([1, 3, 10, 100]))
+    return idx, queries[:nq], nprobe, k
+
+
+def assert_matches_v041(idx, queries, k, nprobe):
+    got = ivf_pq_search(idx, queries, k=k, nprobe=nprobe)
+    want = ivf_pq_search_v041(idx, queries, k, nprobe)
+    assert len(got) == len(want)
+    for res, (ids, dists) in zip(got, want):
+        assert res.approximate is True
+        assert res.ids.tolist() == ids.tolist()
+        assert res.dists.tobytes() == dists.tobytes()
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=pq_cases())
+def test_search_matches_v041_adc_bit_for_bit(case):
+    idx, queries, nprobe, k = case
+    assert_matches_v041(idx, queries, k, nprobe)
+
+
+@pytest.mark.parametrize(
+    "es, nlist, m",
+    [
+        (lossless_set(), 4, 8),  # sub-codebooks of k 4 and 2
+        (random_set(600, 16, seed=13), 8, 16),  # subdim 1
+        (random_set(700, 48, seed=14), 8, 2),  # subdim 24
+    ],
+    ids=["k4_and_k2", "subdim1", "subdim24"],
+)
+def test_built_index_matches_v041_adc_bit_for_bit(es, nlist, m):
+    idx = ivf_pq_build(es, nlist=nlist, m=m, seed=LOSSLESS_SEED)
+    q = es.vectors[::37] + np.float32(0.25)
+    for nprobe in (1, nlist):
+        assert_matches_v041(idx, q, 10, nprobe)
+        assert_matches_v041(idx, q[:1], 10, nprobe)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=pq_cases())
+def test_adc_table_is_the_canonical_kernel_per_subspace(case):
+    idx, queries, _, _ = case
+    sub = idx.subdim
+    for q in queries:
+        for lid in range(idx.nlist):
+            tables = adc_table(idx, q, lid)
+            assert tables.shape == (idx.m, 256)
+            r = (
+                q.astype(np.float64) - idx.coarse.centroids[lid].astype(np.float64)
+            ).astype(np.float32)
+            for j, cb in enumerate(idx.subs):
+                want = squared_l2_batch(cb.centroids, r[j * sub : (j + 1) * sub])
+                assert tables[j, : cb.k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ivf_flat", "ivf_pq"])
+def test_threads_do_not_change_results(kind):
+    es = random_set(1200, 32, seed=15)
+    rng = np.random.default_rng(16)
+    q = rng.standard_normal((64, 32)).astype(np.float32)
+    if kind == "ivf_flat":
+        idx, search = ivf_flat_build(es, nlist=16, seed=15), ivf_flat_search
+    else:
+        idx, search = ivf_pq_build(es, nlist=16, m=8, seed=15), ivf_pq_search
+    a = search(idx, q, k=10, nprobe=4, threads=1)
+    b = search(idx, q, k=10, nprobe=4, threads=2)
+    for ra, rb in zip(a, b):
+        assert ra.approximate == rb.approximate
+        assert np.array_equal(ra.ids, rb.ids)
+        assert ra.dists.tobytes() == rb.dists.tobytes()
+
+
+def test_decode_gathers_the_sub_centroids():
+    es = random_set(600, 16, seed=17)
+    idx = ivf_pq_build(es, nlist=4, m=4, seed=17)
+    lid, codes = ivf_pq_encode(idx, es.vectors[3])
+    want = idx.coarse.centroids[lid].astype(np.float64)
+    for j in range(4):
+        want[j * 4 : (j + 1) * 4] += idx.subs[j].centroids[codes[j]].astype(np.float64)
+    assert ivf_pq_decode(idx, lid, codes).tobytes() == want.astype(np.float32).tobytes()
+
+
+def test_decode_rejects_list_id_out_of_range():
+    idx = ivf_pq_build(lossless_set(), nlist=4, m=8, seed=LOSSLESS_SEED)
+    for lid in (-1, 4):
+        with pytest.raises(DataError, match=rf"list id {lid} out of range \[0, 4\)"):
+            ivf_pq_decode(idx, lid, np.zeros(8, dtype=np.uint8))
+
+
+def test_decode_rejects_wrong_code_count():
+    idx = ivf_pq_build(lossless_set(), nlist=4, m=8, seed=LOSSLESS_SEED)
+    with pytest.raises(DataError, match=r"expected 8 codes, got shape \(7,\)"):
+        ivf_pq_decode(idx, 0, np.zeros(7, dtype=np.uint8))
+
+
+def test_decode_names_the_first_subspace_with_a_bad_code():
+    idx = ivf_pq_build(lossless_set(), nlist=4, m=8, seed=LOSSLESS_SEED)
+    assert [cb.k for cb in idx.subs] == [4, 4, 4, 2, 4, 4, 4, 2]
+    codes = np.zeros(8, dtype=np.uint8)
+    codes[3] = 2  # subspace 3 has k == 2
+    codes[5] = 200
+    with pytest.raises(DataError, match=r"code 2 out of range \[0, 2\) in subspace 3"):
+        ivf_pq_decode(idx, 0, codes)
+    with pytest.raises(DataError, match=r"code -1 out of range \[0, 4\) in subspace 0"):
+        ivf_pq_decode(idx, 0, [-1, 0, 0, 0, 0, 0, 0, 0])
