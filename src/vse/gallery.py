@@ -5,6 +5,14 @@ centroid of the larger cluster the main center, and removes every vector
 strictly farther from it than twice the mean distance of the main
 cluster's own members. Folders with fewer than three vectors are kept
 whole (two centers over two points would make everything a center).
+
+`clean_gallery` cleans all folders of one size in lockstep: their rows
+are stacked as one (F, n, d) block, their k=2 splits train in one Lloyd
+loop (kmeans.kmeans_stack), and the main clusters, distances and
+thresholds are found for the whole block at once. Each folder gets the
+same bits as cleaning it alone with `clean_identity`, which is the
+one-folder case of the same code. Blocks hold at most about _CHUNK_ROWS
+rows, which bounds the memory of their f64 copies.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, normalize_rows, squared_l2_batch
-from .kmeans import assign, kmeans_train
+from .core import DataError, EmbeddingSet, normalize_rows
+from .kmeans import kmeans_stack
 
 __all__ = [
     "IdentityFolder",
@@ -26,6 +34,9 @@ __all__ = [
     "fuse",
     "fuse_sets",
 ]
+
+# Rows per lockstep block of folders: its f64 copies stay near 4 MB at d=128.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,9 +78,9 @@ class CleanReport:
         kept = np.ascontiguousarray(self.kept, dtype=np.int64)
         removed = np.ascontiguousarray(self.removed, dtype=np.int64)
         center = np.ascontiguousarray(self.main_center, dtype=np.float32)
-        n = kept.shape[0] + removed.shape[0]
-        together = np.sort(np.concatenate([kept, removed]))
-        if not np.array_equal(together, np.arange(n, dtype=np.int64)):
+        # O(n): the n indices must be exactly the set 0..n-1.
+        idx = kept.tolist() + removed.tolist() if kept.ndim == removed.ndim == 1 else None
+        if idx is None or set(idx) != set(range(len(idx))):
             raise DataError("kept and removed must partition the folder's indices")
         for a in (kept, removed, center):
             a.setflags(write=False)
@@ -78,8 +89,78 @@ class CleanReport:
         object.__setattr__(self, "main_center", center)
 
 
-def _euclidean_to(center: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(squared_l2_batch(rows, center))
+def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Canonical-kernel squared L2 of each row of x to its center.
+
+    x is (F, n, d), centers broadcast against it; the squared differences
+    are summed over the last axis in f64, the bits of squared_l2_batch.
+    """
+    diff = x.astype(np.float64) - centers.astype(np.float64)
+    np.square(diff, out=diff)
+    return diff.sum(axis=-1)
+
+
+def _main_clusters(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Index of each folder's main cluster: the larger one; on a tie, the one
+    with smaller within-cluster inertia, then cluster 0."""
+    n = labels.shape[1]
+    ones = labels.sum(axis=1)
+    main = (2 * ones > n).astype(np.int64)
+    tied = np.flatnonzero(2 * ones == n)
+    if tied.size:
+        # Rows of cluster 0, then of cluster 1, each ascending, as
+        # x[labels == j] takes them; each half's distances sum to its inertia.
+        order = np.argsort(labels[tied], axis=1, kind="stable")
+        rows = np.take_along_axis(x[tied], order[:, :, None], axis=1)
+        own = np.repeat(centroids[tied], n // 2, axis=1)
+        inertia = _squared_distances(rows, own).reshape(tied.size, 2, n // 2).sum(axis=2)
+        main[tied] = inertia[:, 0] > inertia[:, 1]
+    return main
+
+
+def _clean_stack(identities: list[str], x: np.ndarray, seed: int):
+    """Clean F folders of one size n in lockstep; x is their (F, n, d) rows.
+
+    Returns one CleanReport per folder and the (F, n) mask of removed rows.
+    """
+    f, n, _ = x.shape
+    if n < 3:
+        centers = (x.astype(np.float64).sum(axis=1) / n).astype(np.float32)
+        members = np.ones((f, n), dtype=bool)
+    else:
+        centroids, labels = kmeans_stack(x, 2, seed=seed)
+        main = _main_clusters(x, centroids, labels)
+        centers = centroids[np.arange(f), main]
+        members = labels == main[:, None]
+    dist = np.sqrt(_squared_distances(x, centers[:, None, :]))
+    # Each folder's mean member distance, as np.mean of its members in row
+    # order: one sum per group of folders with the same member count.
+    count = members.sum(axis=1)
+    first = np.take_along_axis(dist, np.argsort(~members, axis=1, kind="stable"), axis=1)
+    avg = np.empty(f)
+    for c in np.unique(count):
+        same = count == c
+        avg[same] = first[same, :c].sum(axis=1) / c
+    threshold = 2.0 * avg
+    removed = dist > threshold[:, None] if n >= 3 else np.zeros((f, n), dtype=bool)
+    cols = np.broadcast_to(np.arange(n), (f, n))
+    n_removed = removed.sum(axis=1)
+    kept_of = np.split(cols[~removed], np.cumsum(n - n_removed)[:-1])
+    removed_of = np.split(cols[removed], np.cumsum(n_removed)[:-1])
+    reports = [
+        CleanReport(
+            identity=name,
+            kept=kept,
+            removed=gone,
+            main_center=center,
+            avg_dist=a,
+            threshold=t,
+        )
+        for name, kept, gone, center, a, t in zip(
+            identities, kept_of, removed_of, centers, avg.tolist(), threshold.tolist()
+        )
+    ]
+    return reports, removed
 
 
 def clean_identity(folder: IdentityFolder, seed: int = 0) -> CleanReport:
@@ -90,81 +171,43 @@ def clean_identity(folder: IdentityFolder, seed: int = 0) -> CleanReport:
     test (strictly beyond 2x the main cluster's mean member distance) is
     applied to every vector in the folder, both clusters.
     """
-    x = folder.features
-    n = folder.n
-    if n < 3:
-        center = (x.astype(np.float64).sum(axis=0) / n).astype(np.float32)
-        d = _euclidean_to(center, x)
-        avg = float(np.mean(d))
-        return CleanReport(
-            identity=folder.identity,
-            kept=np.arange(n, dtype=np.int64),
-            removed=np.empty(0, dtype=np.int64),
-            main_center=center,
-            avg_dist=avg,
-            threshold=2.0 * avg,
-        )
-    codebook = kmeans_train(x, 2, seed=seed)
-    split = assign(x, codebook)
-    labels, counts = split.labels, split.counts
-    if counts[0] != counts[1]:
-        main = int(np.argmax(counts))
-    else:
-        inertias = [
-            float(np.sum(squared_l2_batch(x[labels == j], codebook.centroids[j])))
-            for j in (0, 1)
-        ]
-        main = 0 if inertias[0] <= inertias[1] else 1
-    center = codebook.centroids[main]
-    # Each row's distance is computed on its own, so the members' are a subset.
-    all_d = _euclidean_to(center, x)
-    avg = float(np.mean(all_d[labels == main]))
-    threshold = 2.0 * avg
-    removed = np.flatnonzero(all_d > threshold).astype(np.int64)
-    kept = np.flatnonzero(~(all_d > threshold)).astype(np.int64)
-    return CleanReport(
-        identity=folder.identity,
-        kept=kept,
-        removed=removed,
-        main_center=center,
-        avg_dist=avg,
-        threshold=threshold,
-    )
-
-
-def group_folders(embeddings: EmbeddingSet) -> list[tuple[IdentityFolder, np.ndarray]]:
-    """Split a labeled set into folders, first-appearance order.
-
-    Returns each folder with the global row indices it came from.
-    """
-    order: dict[str, list[int]] = {}
-    for i, label in enumerate(embeddings.labels):
-        order.setdefault(label, []).append(i)
-    out = []
-    for label, rows in order.items():
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        out.append(
-            (IdentityFolder(identity=label, features=embeddings.vectors[rows_arr]), rows_arr)
-        )
-    return out
+    return _clean_stack([folder.identity], folder.features[None], seed)[0][0]
 
 
 def clean_gallery(
     embeddings: EmbeddingSet, seed: int = 0
 ) -> tuple[EmbeddingSet, list[CleanReport]]:
-    """Clean every identity folder; kept rows keep their original order."""
-    keep_mask = np.zeros(embeddings.count, dtype=bool)
-    reports: list[CleanReport] = []
-    for folder, rows in group_folders(embeddings):
-        report = clean_identity(folder, seed=seed)
-        keep_mask[rows[report.kept]] = True
-        reports.append(report)
+    """Clean every identity folder; kept rows keep their original order.
+
+    Reports come in first-appearance order of the identities. Folders of
+    one size are cleaned in lockstep, in chunks of about _CHUNK_ROWS rows,
+    with the bits clean_identity gives each of them alone.
+    """
+    rows_of: dict[str, list[int]] = {}
+    for i, label in enumerate(embeddings.labels):
+        rows_of.setdefault(label, []).append(i)
+    names = list(rows_of)
+    sizes = np.fromiter(map(len, rows_of.values()), dtype=np.int64, count=len(names))
+    reports: list[CleanReport] = [None] * len(names)
+    keep_mask = np.ones(embeddings.count, dtype=bool)
+    for n in np.unique(sizes):
+        folders = np.flatnonzero(sizes == n)
+        step = max(1, _CHUNK_ROWS // int(n))
+        for s0 in range(0, folders.size, step):
+            chunk = folders[s0 : s0 + step]
+            rows = np.array([rows_of[names[i]] for i in chunk], dtype=np.int64)
+            got, removed = _clean_stack(
+                [names[i] for i in chunk], embeddings.vectors[rows], seed
+            )
+            for i, report in zip(chunk, got):
+                reports[i] = report
+            keep_mask[rows[removed]] = False
     kept_rows = np.flatnonzero(keep_mask)
     if kept_rows.size == 0:
         raise DataError("cleaning removed every vector")
     cleaned = EmbeddingSet(
         vectors=embeddings.vectors[kept_rows],
-        labels=[embeddings.labels[i] for i in kept_rows],
+        labels=[embeddings.labels[i] for i in kept_rows.tolist()],
         normalized=embeddings.normalized,
     )
     return cleaned, reports

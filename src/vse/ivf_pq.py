@@ -205,10 +205,11 @@ def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> np.ndarray:
     last axis of a contiguous f64 array. Entries at b >= subs[j].k are
     padding; no valid code reaches them.
     """
-    r = _residuals(np.asarray(query, dtype=np.float32), index.coarse.centroids[list_id])
+    # A finite query can still overflow f32 once its centroid is taken off.
+    with np.errstate(over="ignore"):
+        r = _residuals(np.asarray(query, dtype=np.float32), index.coarse.centroids[list_id])
     if not np.isfinite(r).all():
-        # A finite query can still overflow f32 once its centroid is taken off.
-        raise DataError("query contains NaN or infinity")
+        raise DataError(f"the query's residual to list {list_id} overflows f32")
     d = index.stacked_subs - r.astype(np.float64).reshape(index.m, 1, index.subdim)
     np.square(d, out=d)
     return d.sum(axis=2)

@@ -3,9 +3,9 @@
 Everything here is written against the public contracts only, in the
 plainest form possible (per-row loops, full sorts), so that agreement
 with the library is evidence rather than tautology. Only numpy and the
-standard library are used. The k-means loops of vse 0.4.0 and the ADC
-loop of vse 0.4.1 are kept here verbatim too, so later versions can be
-held to the same bits.
+standard library are used. The k-means loops of vse 0.4.0, and the ADC
+loop and per-folder cleaning of vse 0.4.1, are kept here too, so later
+versions can be held to the same bits.
 """
 
 import struct
@@ -211,6 +211,86 @@ def ivf_pq_search_v041(index, queries, k, nprobe):
         order = np.lexsort((ids, dists))[:k]
         out.append((ids[order], dists[order]))
     return out
+
+
+def _sq_dists(rows, center):
+    """The canonical kernel: f64 differences, squared, summed along each row."""
+    diff = rows.astype(np.float64) - center.astype(np.float64)
+    np.square(diff, out=diff)
+    return diff.sum(axis=1)
+
+
+def kmeans_v041(x, k, max_iters=25, seed=0):
+    """The kmeans_train loop of vse 0.4.1 for rows that fit one assignment
+    block (n <= 16,384), kept to test later versions against.
+
+    The library's assignment, mean update and empty-cluster repair are
+    written out with assign_labels_v040 (the same labels) and
+    mean_update_sequential (the same ascending-row sums). Returns the f32
+    centroids and the labels they were trained on.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    n = x.shape[0]
+
+    def repair(labels, centroids):
+        counts = np.bincount(labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return centroids
+        centroids = centroids.copy()
+        for j in empties:
+            donor = int(np.argmax(counts))
+            members = np.flatnonzero(labels == donor)
+            p = members[int(np.argmax(_sq_dists(x[members], centroids[donor])))]
+            labels[p] = j
+            centroids[j] = x[p]
+            counts[donor] -= 1
+            counts[j] = 1
+        return centroids
+
+    rng = np.random.default_rng(seed)
+    centroids = x[rng.choice(n, size=k, replace=False)].copy()
+    labels = assign_labels_v040(x, centroids)
+    centroids = repair(labels, centroids)
+    for _ in range(max_iters):
+        centroids = mean_update_sequential(x, labels, k)
+        new_labels = assign_labels_v040(x, centroids)
+        centroids = repair(new_labels, centroids)
+        converged = bool(np.array_equal(new_labels, labels))
+        labels = new_labels
+        if converged:
+            break
+    return centroids, labels
+
+
+def clean_identity_v041(x, seed=0):
+    """The per-folder cleaning of vse 0.4.1, kept to test later versions
+    against: a k=2 split by kmeans_v041, the main center, and removal
+    strictly beyond twice the main cluster's mean member distance.
+
+    x is one folder's (n, d) f32 rows. Returns (kept, removed, main_center,
+    avg_dist, threshold) as vse 0.4.1's CleanReport held them.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    n = x.shape[0]
+    if n < 3:
+        center = (x.astype(np.float64).sum(axis=0) / n).astype(np.float32)
+        avg = float(np.mean(np.sqrt(_sq_dists(x, center))))
+        return np.arange(n), np.empty(0, dtype=np.int64), center, avg, 2.0 * avg
+    centroids, _ = kmeans_v041(x, 2, seed=seed)
+    labels = assign_labels_v040(x, centroids)
+    counts = np.bincount(labels, minlength=2)
+    if counts[0] != counts[1]:
+        main = int(np.argmax(counts))
+    else:
+        inertias = [float(np.sum(_sq_dists(x[labels == j], centroids[j]))) for j in (0, 1)]
+        main = 0 if inertias[0] <= inertias[1] else 1
+    center = centroids[main]
+    all_d = np.sqrt(_sq_dists(x, center))
+    avg = float(np.mean(all_d[labels == main]))
+    threshold = 2.0 * avg
+    far = all_d > threshold
+    return np.flatnonzero(~far), np.flatnonzero(far), center, avg, threshold
 
 
 _CRC_POLY = 0xC96C5795D7870F42  # CRC-64/XZ: 0x42f0e1eba9ea3693 bit-reflected

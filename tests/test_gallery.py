@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import lloyd_reference
+from oracles import clean_identity_v041, lloyd_reference
 from vse import (
     CleanReport,
     DataError,
     EmbeddingSet,
     FusionStrategy,
     IdentityFolder,
+    assign,
     clean_gallery,
     clean_identity,
     fuse,
     fuse_sets,
+    gallery,
+    kmeans_train,
     l2_normalize,
+    squared_l2_batch,
 )
 
 
@@ -248,3 +254,139 @@ def test_fuse_sets_label_mismatch_rejected():
     )
     with pytest.raises(DataError):
         fuse_sets(a, b, FusionStrategy.SUM)
+
+
+def _folder_rows(family, n, d, scale, rng):
+    """n x d f32 rows of one folder family around a random identity center."""
+    center = rng.standard_normal(d) * scale
+    if family == "blob":
+        x = center + 0.1 * scale * rng.standard_normal((n, d))
+    elif family == "outliers":
+        x = center + 0.05 * scale * rng.standard_normal((n, d))
+        far = rng.random(n) < 0.2
+        x[far] += 3.0 * scale * rng.standard_normal((int(far.sum()), d))
+    elif family == "duplicates":
+        # at most three distinct rows: init can draw two equal centroids,
+        # which leaves a cluster empty until the repair
+        x = (center + scale * rng.standard_normal((3, d)))[rng.integers(0, 3, n)]
+    elif family == "halves":
+        # two tight groups of n // 2 rows, so even folders split 50/50
+        h = n // 2
+        x = np.vstack([
+            center + 0.01 * scale * rng.standard_normal((h, d)),
+            -center + 0.02 * scale * rng.standard_normal((n - h, d)),
+        ])
+    else:  # "mirror": the second half negates the first, row for row, so a
+        # 50/50 split has two equal inertias and cluster 0 wins the tie
+        h = n // 2
+        a = center + 0.01 * scale * rng.standard_normal((h, d))
+        x = np.vstack([a, -a, center[None, :]][: 3 if n % 2 else 2])
+    return x.astype(np.float32)
+
+
+_FOLDER_FAMILIES = ["blob", "outliers", "duplicates", "halves", "mirror"]
+
+
+@st.composite
+def folder_galleries(draw):
+    """A gallery of folders of sizes 1-20, rows shuffled so that folders
+    interleave, plus the rows of each folder in gallery order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 5, 16]))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=14))
+    blocks = [
+        _folder_rows(draw(st.sampled_from(_FOLDER_FAMILIES)), n, d, scale, rng) for n in sizes
+    ]
+    names = [f"id{i}" for i in range(len(sizes)) for _ in range(sizes[i])]
+    perm = rng.permutation(len(names)) if draw(st.booleans()) else np.arange(len(names))
+    vectors = np.vstack(blocks)[perm]
+    labels = [names[i] for i in perm]
+    return EmbeddingSet(vectors=vectors, labels=labels, normalized=False)
+
+
+def assert_clean_matches_v041(src, seed):
+    """clean_gallery and clean_identity give vse 0.4.1's per-folder bits."""
+    cleaned, reports = clean_gallery(src, seed=seed)
+    rows_of = {}
+    for i, label in enumerate(src.labels):
+        rows_of.setdefault(label, []).append(i)
+    assert [r.identity for r in reports] == list(rows_of)
+    keep = np.zeros(src.count, dtype=bool)
+    for rep, (name, rows) in zip(reports, rows_of.items()):
+        feats = src.vectors[rows]
+        kept, removed, center, avg, threshold = clean_identity_v041(feats, seed)
+        alone = clean_identity(IdentityFolder(identity=name, features=feats), seed=seed)
+        for got in (rep, alone):
+            assert np.array_equal(got.kept, kept)
+            assert np.array_equal(got.removed, removed)
+            assert got.main_center.tobytes() == center.tobytes()
+            assert got.avg_dist == avg
+            assert got.threshold == threshold
+        keep[np.asarray(rows)[kept]] = True
+    assert cleaned.vectors.tobytes() == src.vectors[keep].tobytes()
+    assert cleaned.labels == [src.labels[i] for i in np.flatnonzero(keep)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    src=folder_galleries(),
+    seed=st.integers(0, 2**32 - 1),
+    chunk_rows=st.sampled_from([1, 12, 45, 4096]),
+)
+def test_clean_matches_v041_bit_for_bit(src, seed, chunk_rows):
+    # small chunks split one size group into several lockstep blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gallery, "_CHUNK_ROWS", chunk_rows)
+        assert_clean_matches_v041(src, seed)
+
+
+def test_clean_matches_v041_across_a_chunk_boundary():
+    # 420 folders of 10 rows: one size group, two blocks of _CHUNK_ROWS
+    rng = np.random.default_rng(12)
+    blocks = [_folder_rows(_FOLDER_FAMILIES[i % 5], 10, 4, 1.0, rng) for i in range(420)]
+    src = gallery_of([(f"id{i}", b) for i, b in enumerate(blocks)])
+    assert 10 * 420 > gallery._CHUNK_ROWS
+    assert_clean_matches_v041(src, 3)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_even_split_tie_goes_to_cluster_zero(n):
+    # the second half negates the first: a 50/50 split whose two
+    # inertias are equal, so the tie rule picks cluster 0
+    rng = np.random.default_rng(n)
+    a = (np.float32([5.0, 1.0, -2.0]) + 0.01 * rng.standard_normal((n // 2, 3))).astype(np.float32)
+    feats = np.vstack([a, -a])
+    rep = clean_identity(IdentityFolder(identity="m", features=feats), seed=0)
+    cb = kmeans_train(feats, 2, seed=0)
+    assert sorted(assign(feats, cb).counts.tolist()) == [n // 2, n // 2]
+    assert rep.main_center.tobytes() == cb.centroids[0].tobytes()
+    assert rep.main_center.tobytes() == clean_identity_v041(feats, 0)[2].tobytes()
+
+
+def test_known_miss_mislabeled_row_in_the_main_cluster_is_kept():
+    # Pins a known miss of today's rule (the FOUND line on kept mislabeled
+    # rows in CHANGES.md, ROADMAP item 8): ten rows of one identity at
+    # sigma 0.05 on the unit sphere, plus one row of another identity.
+    # The k=2 split cuts the identity in two and the intruder joins the
+    # larger half, about 1.10 from its center, while the threshold, twice
+    # the members' mean distance, is about 1.19. A later opt-in rule
+    # should remove row 10; the default rule keeps it.
+    rng = np.random.default_rng(6)
+    u, v = rng.standard_normal((2, 128))
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    members = u + 0.05 * rng.standard_normal((10, 128))
+    intruder = v + 0.05 * rng.standard_normal(128)
+    feats = np.vstack([members, intruder[None, :]])
+    feats = (feats / np.linalg.norm(feats, axis=1, keepdims=True)).astype(np.float32)
+    rep = clean_identity(IdentityFolder(identity="a", features=feats), seed=0)
+
+    cb = kmeans_train(feats, 2, seed=0)
+    labels = assign(feats, cb).labels
+    main = int(np.argmax(np.bincount(labels, minlength=2)))
+    assert rep.main_center.tobytes() == cb.centroids[main].tobytes()
+    assert labels[10] == main
+    dist = float(np.sqrt(squared_l2_batch(feats[10:], rep.main_center)[0]))
+    assert 1.05 < dist < rep.threshold < 1.25
+    assert 10 in rep.kept.tolist()

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -410,3 +411,25 @@ def test_decode_names_the_first_subspace_with_a_bad_code():
         ivf_pq_decode(idx, 0, codes)
     with pytest.raises(DataError, match=r"code -1 out of range \[0, 4\) in subspace 0"):
         ivf_pq_decode(idx, 0, [-1, 0, 0, 0, 0, 0, 0, 0])
+
+
+def test_residual_overflow_names_the_list_without_a_warning():
+    # The query is finite, but its residual to the one coarse centroid,
+    # 3e38 - (-3e38), is past the f32 range.
+    coarse = Codebook(k=1, dim=2, centroids=np.float32([[-3e38, 0.0]]), inertia=0.0)
+    sub = Codebook(k=1, dim=1, centroids=np.float32([[0.0]]), inertia=0.0)
+    idx = IvfPqIndex(
+        coarse=coarse,
+        params=PqParams(m=2),
+        subs=(sub, sub),
+        list_ids=(np.int64([0]),),
+        list_codes=(np.zeros((1, 2), dtype=np.uint8),),
+        labels=["a"],
+        normalized=False,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"^the query's residual to list 0 overflows f32$"):
+            ivf_pq_search(idx, np.float32([[3e38, 0.0]]), 1)
+        with pytest.raises(DataError, match=r"^the query's residual to list 0 overflows f32$"):
+            adc_table(idx, np.float32([3e38, 0.0]), 0)

@@ -231,3 +231,27 @@ def test_expansion_can_pick_the_farther_of_two_close_centroids():
     cb = Codebook(k=2, dim=2, centroids=c, inertia=0.0)
     assert squared_l2_batch(c, x[0]).argmin() == 0
     assert assign(x, cb).labels.tolist() == [1]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    family=st.sampled_from(_FAMILIES),
+    problems=st.integers(1, 6),
+    d=st.sampled_from([1, 3, 16]),
+    k=st.sampled_from([1, 2, 3, 5]),
+    extra=st.integers(0, 25),
+    max_iters=st.sampled_from([0, 1, 3, 25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_problems_get_the_bits_they_get_alone(
+    family, problems, d, k, extra, max_iters, seed
+):
+    # problems of one stack converge at different iterations and some
+    # need the empty-cluster repair; each must match its own lone run
+    rng = np.random.default_rng(seed)
+    x = np.stack([_data(family, k + extra, d, rng) for _ in range(problems)])
+    centroids, labels = kmeans.kmeans_stack(x, k, max_iters=max_iters, seed=seed)
+    for f in range(problems):
+        alone = kmeans_train(x[f], k, max_iters=max_iters, seed=seed)
+        assert centroids[f].tobytes() == alone.centroids.tobytes()
+        assert np.array_equal(labels[f], assign(x[f], alone).labels)
