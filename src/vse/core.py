@@ -1,8 +1,9 @@
-"""Core vector types and the canonical distance kernel.
+"""Core vector types, the row check and the canonical distance kernel.
 
-Every distance this package reports comes from one kernel: cast the f32
-operands to f64, subtract, square, sum over the last axis. Keeping a single
-kernel makes exact-equality contracts between strategies meaningful (a flat
+Every distance and squared norm this package reports comes from one
+function, `_squared_l2_rows`: cast the f32 operands to f64, subtract,
+square, sum over the last axis. Keeping a single kernel makes
+exact-equality contracts between strategies meaningful (a flat
 search and a full-probe IVF search produce bitwise-identical distances).
 Exact searches may rank rows by a cheaper f32 estimate first, but only with
 a proven error bound, and they score what they return with this kernel.
@@ -25,8 +26,8 @@ __all__ = [
     "top_k_smallest",
 ]
 
-# Rows per block when streaming f64 casts over a large matrix. Keeps the
-# working set around 16 MiB at dim=128 instead of materializing N x D in f64.
+# Rows per block of the kernel's f64 copy, which keeps it around 16 MiB at
+# dim=128 instead of N x D in f64; also rows per run of k-means assignment.
 _BLOCK_ROWS = 16384
 
 
@@ -50,10 +51,7 @@ def _as_matrix_f32(vectors: np.ndarray, *, copy: bool) -> np.ndarray:
         raise DataError(f"expected a 2-d array of row vectors, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DataError(f"empty embedding matrix with shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        bad = int(np.argmin(np.isfinite(arr).all(axis=1)))
-        raise DataError(f"embedding matrix row {bad} contains NaN or infinity", row=bad)
-    return arr
+    return as_rows(arr)
 
 
 def check_labels(labels: list[str]) -> None:
@@ -105,6 +103,26 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
 
+def as_rows(data) -> np.ndarray:
+    """A batch of f32 rows: an EmbeddingSet's vectors, or an array taken as
+    f32 with a 1-d array read as one row. DataError unless it is 2-d and
+    finite, naming the first row with a NaN or infinity (`row=`). It may be
+    empty: callers that need rows or a given width check that themselves.
+    """
+    if isinstance(data, EmbeddingSet):
+        return data.vectors
+    arr = np.ascontiguousarray(data, dtype=np.float32)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise DataError(f"expected a 2-d batch of rows, got ndim={arr.ndim}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.argmin(finite.all(axis=1)))
+        raise DataError(f"row {bad} contains NaN or infinity", row=bad)
+    return arr
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Nearest neighbors of one query, ascending by (distance, id)."""
@@ -127,14 +145,31 @@ class SearchResult:
         return [(int(i), float(d)) for i, d in zip(self.ids, self.dists)]
 
 
-def _row_squared_norms(arr: np.ndarray) -> np.ndarray:
-    """Squared norm of every row in f64, cast one block of rows at a time."""
-    out = np.empty(arr.shape[0], dtype=np.float64)
-    for start in range(0, arr.shape[0], _BLOCK_ROWS):
-        block = arr[start : start + _BLOCK_ROWS].astype(np.float64)
-        np.square(block, out=block)
-        out[start : start + _BLOCK_ROWS] = block.sum(axis=1)
+def _squared_l2_rows(x: np.ndarray, y=None, pairs=None) -> np.ndarray:
+    """The canonical kernel, as a new array: the f64 sum over the last axis
+    of (f64(x) - f64(y))^2, or of f64(x)^2 when y is None.
+
+    y broadcasts against x; with `pairs`, slice i of x's first axis meets
+    y[pairs[i]] instead. x's first axis goes in blocks of _BLOCK_ROWS, so
+    the f64 copy stays small; each row is summed on its own, so its bits do
+    not depend on the rows around it.
+    """
+    out = np.empty(x.shape[:-1], dtype=np.float64)
+    for start in range(0, x.shape[0], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        d = x[start:stop].astype(np.float64)
+        if y is not None:
+            d -= y if pairs is None else y[pairs[start:stop]]
+        np.square(d, out=d)
+        out[start:stop] = d.sum(axis=-1)
     return out
+
+
+def _row_squared_norms(arr: np.ndarray) -> np.ndarray:
+    """Read-only f64 squared norm of every row, for exact_candidates."""
+    norms = _squared_l2_rows(arr)
+    norms.setflags(write=False)
+    return norms
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -156,8 +191,7 @@ def squared_l2(a, b) -> float:
     bv = _as_vector(b, "b")
     if av.shape[0] != bv.shape[0]:
         raise DataError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    d = av.astype(np.float64) - bv.astype(np.float64)
-    return float(np.sum(d * d))
+    return float(_squared_l2_rows(av[None], bv)[0])
 
 
 def squared_l2_batch(matrix: np.ndarray, query) -> np.ndarray:
@@ -165,29 +199,20 @@ def squared_l2_batch(matrix: np.ndarray, query) -> np.ndarray:
     as a new f64 array.
 
     Bitwise-identical to calling squared_l2 per row, so a row's distance
-    does not depend on the rows around it; blocks over rows so the f64
-    intermediates stay small.
+    does not depend on the rows around it.
     """
     q = _as_vector(query, "query")
     if matrix.ndim != 2 or matrix.shape[1] != q.shape[0]:
         raise DataError(
             f"matrix/query dimension mismatch: {matrix.shape} vs {q.shape[0]}"
         )
-    n = matrix.shape[0]
-    q64 = q.astype(np.float64)
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        d = matrix[start:stop].astype(np.float64) - q64
-        np.square(d, out=d)
-        out[start:stop] = d.sum(axis=1)
-    return out
+    return _squared_l2_rows(matrix, q)
 
 
 def l2_normalize(v) -> np.ndarray:
     """Scale a vector to unit L2 norm. Error on (near-)zero vectors."""
     arr = _as_vector(v, "v")
-    norm = float(np.sqrt(np.sum(arr.astype(np.float64) ** 2)))
+    norm = float(np.sqrt(_squared_l2_rows(arr[None])[0]))
     if norm <= 1e-12:
         raise DataError(f"cannot normalize a vector of norm {norm:g}")
     return (arr.astype(np.float64) / norm).astype(np.float32)

@@ -23,18 +23,12 @@ from .core import (
     EmbeddingSet,
     SearchResult,
     _row_squared_norms,
+    as_rows,
     squared_l2_batch,
     top_k_smallest,
 )
 
 __all__ = ["FlatIndex", "flat_build", "flat_search"]
-
-
-def frozen_norms(vectors: np.ndarray) -> np.ndarray:
-    """Read-only f64 squared norms of the rows, for exact_candidates."""
-    norms = _row_squared_norms(vectors)
-    norms.setflags(write=False)
-    return norms
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,7 @@ class FlatIndex:
     norms: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "norms", frozen_norms(self.base.vectors))
+        object.__setattr__(self, "norms", _row_squared_norms(self.base.vectors))
 
     @property
     def count(self) -> int:
@@ -71,16 +65,7 @@ def flat_build(base: EmbeddingSet) -> FlatIndex:
 
 def query_matrix(queries, dim: int) -> np.ndarray:
     """Validate a query batch (EmbeddingSet or array) against an index dim."""
-    if isinstance(queries, EmbeddingSet):
-        q = queries.vectors
-    else:
-        q = np.ascontiguousarray(queries, dtype=np.float32)
-        if q.ndim == 1:
-            q = q.reshape(1, -1)
-        if q.ndim != 2:
-            raise DataError(f"queries must be a 2-d batch, got ndim={q.ndim}")
-        if not np.isfinite(q).all():
-            raise DataError("queries contain NaN or infinity")
+    q = as_rows(queries)
     if q.shape[1] != dim:
         raise DataError(f"query dim {q.shape[1]} does not match index dim {dim}")
     return q
@@ -113,7 +98,7 @@ def exact_candidates(
 
     Returns their ascending row numbers and canonical-kernel distances;
     every row of the true top k by (distance, row) is among them.
-    `norms` is frozen_norms(vectors).
+    `norms` is _row_squared_norms(vectors).
     """
     n, d = vectors.shape
     if k >= n:

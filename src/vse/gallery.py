@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, normalize_rows
+from .core import DataError, EmbeddingSet, _squared_l2_rows, normalize_rows
 from .kmeans import kmeans_stack
 
 __all__ = [
@@ -89,17 +89,6 @@ class CleanReport:
         object.__setattr__(self, "main_center", center)
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Canonical-kernel squared L2 of each row of x to its center.
-
-    x is (F, n, d), centers broadcast against it; the squared differences
-    are summed over the last axis in f64, the bits of squared_l2_batch.
-    """
-    diff = x.astype(np.float64) - centers.astype(np.float64)
-    np.square(diff, out=diff)
-    return diff.sum(axis=-1)
-
-
 def _main_clusters(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Index of each folder's main cluster: the larger one; on a tie, the one
     with smaller within-cluster inertia, then cluster 0."""
@@ -109,11 +98,12 @@ def _main_clusters(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> 
     tied = np.flatnonzero(2 * ones == n)
     if tied.size:
         # Rows of cluster 0, then of cluster 1, each ascending, as
-        # x[labels == j] takes them; each half's distances sum to its inertia.
+        # x[labels == j] takes them; each half's distances to its own
+        # centroid sum to its inertia.
         order = np.argsort(labels[tied], axis=1, kind="stable")
         rows = np.take_along_axis(x[tied], order[:, :, None], axis=1)
-        own = np.repeat(centroids[tied], n // 2, axis=1)
-        inertia = _squared_distances(rows, own).reshape(tied.size, 2, n // 2).sum(axis=2)
+        halves = rows.reshape(tied.size, 2, n // 2, -1)
+        inertia = _squared_l2_rows(halves, centroids[:, :, None], tied).sum(axis=2)
         main[tied] = inertia[:, 0] > inertia[:, 1]
     return main
 
@@ -132,7 +122,7 @@ def _clean_stack(identities: list[str], x: np.ndarray, seed: int):
         main = _main_clusters(x, centroids, labels)
         centers = centroids[np.arange(f), main]
         members = labels == main[:, None]
-    dist = np.sqrt(_squared_distances(x, centers[:, None, :]))
+    dist = np.sqrt(_squared_l2_rows(x, centers[:, None], np.arange(f)))
     # Each folder's mean member distance, as np.mean of its members in row
     # order: one sum per group of folders with the same member count.
     count = members.sum(axis=1)

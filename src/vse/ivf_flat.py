@@ -20,11 +20,12 @@ from .core import (
     DataError,
     EmbeddingSet,
     SearchResult,
+    _row_squared_norms,
     check_labels,
     squared_l2_batch,
     top_k_smallest,
 )
-from .flat import exact_candidates, frozen_norms, query_matrix, run_per_query
+from .flat import exact_candidates, query_matrix, run_per_query
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = ["IvfFlatIndex", "ivf_flat_build", "ivf_flat_search", "default_nprobe"]
@@ -61,22 +62,43 @@ def coarse_lists(vectors: np.ndarray, nlist: int, seed: int, max_iters: int):
     return coarse, labels, np.split(order, ends[:-1])
 
 
-def check_posting_lists(index, payloads: tuple[np.ndarray, ...]) -> None:
-    """One list per coarse centroid, the lists partitioning the row ids
-    0..count-1, each row with a label as EmbeddingSet requires; then freeze
-    the lists.
-
-    `payloads` is the index's list_vectors or list_codes, one row per id.
+def check_posting_lists(index, code_caps: np.ndarray | None = None) -> None:
+    """Check the posting lists of either IVF kind and store them frozen, in
+    the dtypes a VIDX file holds; else DataError. There is one list per
+    coarse centroid. The ids are integers, stored as int64; the lists
+    partition the row ids 0..count-1, and every row has a label as
+    EmbeddingSet requires. Each list has one payload row per id: for
+    ivf_flat, dim values in `list_vectors`, rounded once to f32 as
+    EmbeddingSet rounds them (the caller checks they are finite); for
+    ivf_pq (`code_caps` given), m integer codes in `list_codes`, code j in
+    [0, code_caps[j]), stored as u1.
     """
+    pq = code_caps is not None
+    payloads = index.list_codes if pq else index.list_vectors
     if len(index.list_ids) != index.coarse.k or len(payloads) != index.coarse.k:
         raise DataError("posting list count does not match nlist")
+    width = len(code_caps) if pq else index.dim
+    list_ids, rows_of = [], []
+    for c, (ids, rows) in enumerate(zip(index.list_ids, payloads)):
+        ids, rows = np.asarray(ids), np.asarray(rows)
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise DataError(f"posting list {c} ids are not a 1-d array of integers")
+        if rows.shape != (ids.size, width):
+            raise DataError(f"posting list {c} holds {rows.shape} rows for {ids.size} ids")
+        if pq and rows.size and (
+            rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= code_caps))
+        ):
+            raise DataError(f"posting list {c} has a code outside its sub-codebook")
+        list_ids.append(np.ascontiguousarray(ids, dtype=np.int64))
+        rows_of.append(np.ascontiguousarray(rows, dtype=np.uint8 if pq else np.float32))
+        list_ids[-1].setflags(write=False)
+        rows_of[-1].setflags(write=False)
     count = len(index.labels)
-    if not np.array_equal(np.sort(np.concatenate(index.list_ids)), np.arange(count)):
+    if not np.array_equal(np.sort(np.concatenate(list_ids)), np.arange(count)):
         raise DataError(f"posting lists do not partition the id range [0, {count})")
     check_labels(index.labels)
-    for ids, payload in zip(index.list_ids, payloads):
-        ids.setflags(write=False)
-        payload.setflags(write=False)
+    object.__setattr__(index, "list_ids", tuple(list_ids))
+    object.__setattr__(index, "list_codes" if pq else "list_vectors", tuple(rows_of))
 
 
 @dataclass(frozen=True)
@@ -87,12 +109,12 @@ class IvfFlatIndex:
     list_vectors: tuple[np.ndarray, ...]
     labels: list[str]
     normalized: bool
-    # frozen_norms of each list's vectors.
+    # _row_squared_norms of each list's vectors.
     list_norms: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_posting_lists(self, self.list_vectors)
-        norms = tuple(frozen_norms(v) for v in self.list_vectors)
+        check_posting_lists(self)
+        norms = tuple(_row_squared_norms(v) for v in self.list_vectors)
         # An f32 row's f64 squared norm is finite exactly when the row is.
         if not all(np.isfinite(n).all() for n in norms):
             raise DataError("posting list vectors contain NaN or infinity")

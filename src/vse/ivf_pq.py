@@ -72,13 +72,7 @@ class IvfPqIndex:
                 raise DataError(f"sub-codebook {j} dim {cb.dim}, expected {sub}")
             if cb.k > KSUB:
                 raise DataError(f"sub-codebook {j} has k={cb.k} > {KSUB}")
-        check_posting_lists(self, self.list_codes)
-        caps = np.asarray([cb.k for cb in self.subs], dtype=np.int64)
-        for ids, codes in zip(self.list_ids, self.list_codes):
-            if codes.shape != (ids.shape[0], m):
-                raise DataError("code block shape does not match its posting list")
-            if codes.shape[0] and np.any(codes.max(axis=0) >= caps):
-                raise DataError("code byte indexes past its sub-codebook")
+        check_posting_lists(self, np.asarray([cb.k for cb in self.subs]))
         stacked = np.zeros((m, KSUB, sub), dtype=np.float64)
         for j, cb in enumerate(self.subs):
             stacked[j, : cb.k] = cb.centroids

@@ -33,12 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, squared_l2_batch
+from .core import _BLOCK_ROWS, DataError, _squared_l2_rows, as_rows, squared_l2_batch
 
 __all__ = ["Codebook", "Assignment", "kmeans_train", "assign"]
 
-# Rows per f64 block of the inertia, and per run of assignment blocks.
-_BLOCK_ROWS = 16384
 # f64 distances per assignment block (512 KiB).
 _BLOCK_ELEMS = 65536
 
@@ -84,17 +82,11 @@ class Assignment:
         object.__setattr__(self, "counts", counts)
 
 
-def _data_matrix(data) -> np.ndarray:
-    if isinstance(data, EmbeddingSet):
-        return data.vectors
-    arr = np.ascontiguousarray(data, dtype=np.float32)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise DataError(f"expected a nonempty 2-d matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DataError("training data contains NaN or infinity")
-    return arr
+def _nonempty_rows(data) -> np.ndarray:
+    x = as_rows(data)
+    if x.shape[0] == 0 or x.shape[1] == 0:
+        raise DataError(f"expected a nonempty 2-d matrix, got shape {x.shape}")
+    return x
 
 
 def _row_blocks(n: int, k: int):
@@ -189,19 +181,6 @@ def _repair_empty(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> n
     return centroids
 
 
-def _inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    """Canonical-kernel cost: per-point squared distance, one global sum."""
-    c64 = centroids.astype(np.float64)
-    n = x.shape[0]
-    d = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        diff = x[start:stop].astype(np.float64) - c64[labels[start:stop]]
-        np.square(diff, out=diff)
-        d[start:stop] = diff.sum(axis=1)
-    return float(np.sum(d))
-
-
 def _mean_update(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Per-cluster f64 means rounded to f32; every cluster must have a member.
 
@@ -286,9 +265,10 @@ def kmeans_train(data, k: int, max_iters: int = 25, seed: int = 0) -> Codebook:
     round), reassigns, repairs empty clusters, and stops early when no
     label changes. Inertia is non-increasing across iterations.
     """
-    x = _data_matrix(data)
+    x = _nonempty_rows(data)
     centroids, labels = _lloyd(x, k, max_iters, seed)
-    inertia = _inertia(x, centroids, labels)
+    # Canonical-kernel cost: each row against its own centroid, one global sum.
+    inertia = float(np.sum(_squared_l2_rows(x, centroids, labels)))
     return Codebook(k=k, dim=x.shape[1], centroids=centroids, inertia=inertia)
 
 
@@ -305,7 +285,7 @@ def kmeans_stack(x: np.ndarray, k: int, max_iters: int = 25, seed: int = 0):
 
 def assign(data, codebook: Codebook) -> Assignment:
     """Map each row to its nearest centroid (ties to the lower index)."""
-    x = _data_matrix(data)
+    x = _nonempty_rows(data)
     if x.shape[1] != codebook.dim:
         raise DataError(
             f"data dim {x.shape[1]} does not match codebook dim {codebook.dim}"

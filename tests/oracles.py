@@ -4,8 +4,8 @@ Everything here is written against the public contracts only, in the
 plainest form possible (per-row loops, full sorts), so that agreement
 with the library is evidence rather than tautology. Only numpy and the
 standard library are used. The k-means loops of vse 0.4.0, and the ADC
-loop and per-folder cleaning of vse 0.4.1, are kept here too, so later
-versions can be held to the same bits.
+loop, per-folder cleaning and distance kernels of vse 0.4.1, are kept
+here too, so later versions can be held to the same bits.
 """
 
 import struct
@@ -291,6 +291,65 @@ def clean_identity_v041(x, seed=0):
     threshold = 2.0 * avg
     far = all_d > threshold
     return np.flatnonzero(~far), np.flatnonzero(far), center, avg, threshold
+
+
+# The squared-L2 expressions of vse 0.4.1, one per function that held its
+# own copy, kept to test the one kernel of later versions against.
+
+
+def squared_l2_v041(a, b):
+    """vse 0.4.1's squared_l2 of two f32 vectors."""
+    d = a.astype(np.float64) - b.astype(np.float64)
+    return float(np.sum(d * d))
+
+
+def squared_l2_batch_v041(matrix, query):
+    """vse 0.4.1's squared_l2_batch loop over 16,384-row blocks."""
+    n = matrix.shape[0]
+    q64 = query.astype(np.float64)
+    out = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        d = matrix[start:stop].astype(np.float64) - q64
+        np.square(d, out=d)
+        out[start:stop] = d.sum(axis=1)
+    return out
+
+
+def row_squared_norms_v041(arr):
+    """vse 0.4.1's core._row_squared_norms."""
+    out = np.empty(arr.shape[0], dtype=np.float64)
+    for start in range(0, arr.shape[0], _BLOCK_ROWS):
+        block = arr[start : start + _BLOCK_ROWS].astype(np.float64)
+        np.square(block, out=block)
+        out[start : start + _BLOCK_ROWS] = block.sum(axis=1)
+    return out
+
+
+def l2_norm_v041(v):
+    """The norm inside vse 0.4.1's l2_normalize."""
+    return float(np.sqrt(np.sum(v.astype(np.float64) ** 2)))
+
+
+def inertia_v041(x, centroids, labels):
+    """vse 0.4.1's kmeans._inertia: per-row distance to its centroid, one sum."""
+    c64 = centroids.astype(np.float64)
+    n = x.shape[0]
+    d = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        diff = x[start:stop].astype(np.float64) - c64[labels[start:stop]]
+        np.square(diff, out=diff)
+        d[start:stop] = diff.sum(axis=1)
+    return float(np.sum(d))
+
+
+def squared_distances_v041(x, centers):
+    """vse 0.4.1's gallery._squared_distances: (F, n, d) rows against
+    centers that broadcast against them."""
+    diff = x.astype(np.float64) - centers.astype(np.float64)
+    np.square(diff, out=diff)
+    return diff.sum(axis=-1)
 
 
 _CRC_POLY = 0xC96C5795D7870F42  # CRC-64/XZ: 0x42f0e1eba9ea3693 bit-reflected

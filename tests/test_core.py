@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from vse import (
     DataError,
     EmbeddingSet,
+    assign,
+    clean_gallery,
+    flat_build,
+    flat_search,
+    kmeans_train,
     l2_normalize,
     normalize_rows,
     squared_l2,
     squared_l2_batch,
     top_k_smallest,
 )
+from vse import core, kmeans
 
 
 def test_squared_l2_identity():
@@ -147,3 +156,109 @@ def test_top_k_smallest_k_equals_n_is_full_sort():
     order = np.lexsort((ids, dists))
     assert np.array_equal(got_ids, ids[order])
     assert np.array_equal(got_dists, dists[order])
+
+
+# The one squared-L2 kernel, held bit for bit to the copies of vse 0.4.1
+# that each caller used to hold.
+
+
+@st.composite
+def kernel_cases(draw):
+    """Rows x (n, d) and one query q at magnitudes from 1e-30 to 1e30, with a
+    row block that puts n on either side of a block edge."""
+    d = draw(st.sampled_from([1, 7, 8, 9, 128]))
+    block = draw(st.sampled_from([1, 2, 3, 5, 16384]))
+    n = draw(st.integers(1, 12)) if block > 5 else block * draw(st.integers(1, 3))
+    n = max(1, n + draw(st.integers(-1, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n + 1, d)
+    if draw(st.booleans()):
+        scale = 10.0 ** draw(st.integers(-30, 30))
+    else:
+        scale = 10.0 ** rng.integers(-30, 31, shape)
+    rows = (rng.standard_normal(shape) * scale).astype(np.float32)
+    return rows[:n], rows[n], block
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=kernel_cases(), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_every_kernel_caller_gives_the_v041_bits(case, k, seed):
+    x, q, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ROWS", block)
+        assert squared_l2(x[0], q) == oracles.squared_l2_v041(x[0], q)
+        assert squared_l2_batch(x, q).tobytes() == oracles.squared_l2_batch_v041(x, q).tobytes()
+        norms = oracles.row_squared_norms_v041(x)
+        assert core._row_squared_norms(x).tobytes() == norms.tobytes()
+        base = EmbeddingSet(vectors=x, labels=["a"] * x.shape[0])
+        assert flat_build(base).norms.tobytes() == norms.tobytes()
+        norm = oracles.l2_norm_v041(x[0])
+        if norm > 1e-12:
+            want = (x[0].astype(np.float64) / norm).astype(np.float32)
+            assert l2_normalize(x[0]).tobytes() == want.tobytes()
+        if np.all(norms > 1e-24):
+            want = (x.astype(np.float64) / np.sqrt(norms)[:, None]).astype(np.float32)
+            assert normalize_rows(x).tobytes() == want.tobytes()
+        if k <= x.shape[0]:
+            centroids, labels = kmeans._lloyd(x, k, 25, seed)
+            want = oracles.inertia_v041(x, centroids, labels)
+            assert kmeans_train(x, k, seed=seed).inertia == want
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    folders=st.integers(1, 7),
+    n=st.integers(1, 6),
+    d=st.sampled_from([1, 7, 8, 9, 128]),
+    exp=st.integers(-30, 30),
+    block=st.sampled_from([1, 2, 3, 16384]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_rows_against_per_folder_centers_give_the_v041_bits(
+    folders, n, d, exp, block, seed
+):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((folders, n, d)) * 10.0**exp).astype(np.float32)
+    centers = (rng.standard_normal((folders, 1, d)) * 10.0**exp).astype(np.float32)
+    want = oracles.squared_distances_v041(x, centers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ROWS", block)
+        got = core._squared_l2_rows(x, centers, np.arange(folders))
+        assert got.tobytes() == want.tobytes()
+        # clean_gallery's two stacked calls, over blocks of folders
+        labels = [f"f{f}" for f in range(folders) for _ in range(n)]
+        src = EmbeddingSet(vectors=x.reshape(-1, d), labels=labels)
+        _, reports = clean_gallery(src, seed=seed)
+    for f, rep in enumerate(reports):
+        kept, removed, center, avg, threshold = oracles.clean_identity_v041(x[f], seed)
+        assert np.array_equal(rep.kept, kept) and np.array_equal(rep.removed, removed)
+        assert rep.main_center.tobytes() == center.tobytes()
+        assert (rep.avg_dist, rep.threshold) == (avg, threshold)
+
+
+def test_row_check_names_the_first_bad_row():
+    x = np.ones((5, 3), dtype=np.float32)
+    x[2, 1] = np.nan
+    x[4, 0] = np.inf
+    codebook = kmeans_train(np.eye(3, dtype=np.float32), 3)
+    index = flat_build(EmbeddingSet(vectors=np.eye(3, dtype=np.float32), labels=list("abc")))
+    for call in (
+        lambda: kmeans_train(x, 2),
+        lambda: assign(x, codebook),
+        lambda: flat_search(index, x, 1),
+    ):
+        with pytest.raises(DataError, match="^row 2 contains NaN or infinity$") as err:
+            call()
+        assert err.value.row == 2
+
+
+def test_row_check_reads_a_vector_as_one_row_and_refuses_other_shapes():
+    index = flat_build(EmbeddingSet(vectors=np.eye(3, dtype=np.float32), labels=list("abc")))
+    assert flat_search(index, np.float32([1, 0, 0]), 1)[0].ids.tolist() == [0]
+    assert assign(np.float32([0, 0, 1]), kmeans_train(np.eye(3), 3)).labels.shape == (1,)
+    with pytest.raises(DataError, match="2-d batch"):
+        flat_search(index, np.zeros((1, 1, 3), dtype=np.float32), 1)
+    with pytest.raises(DataError, match="nonempty"):
+        kmeans_train(np.zeros((0, 3), dtype=np.float32), 1)
+    with pytest.raises(DataError, match="does not match index dim"):
+        flat_search(index, np.zeros((2, 4), dtype=np.float32), 1)

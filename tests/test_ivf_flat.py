@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from vse import (
     flat_search,
     ivf_flat_build,
     ivf_flat_search,
+    load_index,
+    save_index,
 )
 
 
@@ -160,3 +164,58 @@ def test_nlist_larger_than_base_rejected():
     es = random_set(5, 4)
     with pytest.raises(DataError):
         ivf_flat_build(es, nlist=6, seed=0)
+
+
+def _with_list(idx, field, c, payload):
+    """idx rebuilt through its constructor with list c of `field` replaced."""
+    lists = list(getattr(idx, field))
+    lists[c] = payload
+    return dataclasses.replace(idx, **{field: tuple(lists)})
+
+
+def _nonempty_list(idx):
+    return next(c for c, ids in enumerate(idx.list_ids) if ids.size > 1)
+
+
+def test_list_vectors_one_row_short_of_their_ids_are_refused():
+    # Search would never return the missing row, and the saved file would
+    # not load back.
+    idx = ivf_flat_build(random_set(60, 4), nlist=4, seed=0)
+    c = _nonempty_list(idx)
+    with pytest.raises(DataError, match=f"posting list {c} holds"):
+        _with_list(idx, "list_vectors", c, idx.list_vectors[c][:-1])
+
+
+def test_list_vectors_of_the_wrong_width_are_refused():
+    idx = ivf_flat_build(random_set(60, 4), nlist=4, seed=0)
+    c = _nonempty_list(idx)
+    wide = np.hstack([idx.list_vectors[c], np.zeros((idx.list_ids[c].size, 1), np.float32)])
+    with pytest.raises(DataError, match=f"posting list {c} holds"):
+        _with_list(idx, "list_vectors", c, wide)
+
+
+def test_list_ids_that_are_not_integers_are_refused():
+    idx = ivf_flat_build(random_set(60, 4), nlist=4, seed=0)
+    c = _nonempty_list(idx)
+    with pytest.raises(DataError, match=f"posting list {c} ids"):
+        _with_list(idx, "list_ids", c, idx.list_ids[c].astype(np.float64))
+
+
+def test_f64_list_vectors_are_rounded_once_and_answer_as_after_a_reload(tmp_path):
+    es = random_set(60, 4)
+    idx = ivf_flat_build(es, nlist=4, seed=0)
+    c = _nonempty_list(idx)
+    x64 = idx.list_vectors[c].astype(np.float64) + 1e-9
+    got = _with_list(idx, "list_vectors", c, x64)
+    assert got.list_vectors[c].dtype == np.float32
+    assert np.array_equal(got.list_vectors[c], x64.astype(np.float32))
+    assert got.list_ids[c].dtype == np.int64
+    path = str(tmp_path / "f64.vidx")
+    save_index(got, path)
+    back = load_index(path)
+    query = es.vectors[int(idx.list_ids[c][0])]
+    for mem, disk in zip(
+        ivf_flat_search(got, query, 3, nprobe=4), ivf_flat_search(back, query, 3, nprobe=4)
+    ):
+        assert np.array_equal(mem.ids, disk.ids)
+        assert np.array_equal(mem.dists, disk.dists)

@@ -433,3 +433,50 @@ def test_residual_overflow_names_the_list_without_a_warning():
             ivf_pq_search(idx, np.float32([[3e38, 0.0]]), 1)
         with pytest.raises(DataError, match=r"^the query's residual to list 0 overflows f32$"):
             adc_table(idx, np.float32([3e38, 0.0]), 0)
+
+
+def _with_codes(idx, c, codes):
+    """idx rebuilt through its constructor with list c's codes replaced."""
+    lists = list(idx.list_codes)
+    lists[c] = codes
+    return dataclasses.replace(idx, list_codes=tuple(lists))
+
+
+def _small_pq():
+    rng = np.random.default_rng(9)
+    es = EmbeddingSet(
+        vectors=rng.standard_normal((300, 8)).astype(np.float32),
+        labels=[f"r{i}" for i in range(300)],
+    )
+    idx = ivf_pq_build(es, 2, 4, seed=0, max_iters=3)
+    return idx, next(c for c, ids in enumerate(idx.list_ids) if ids.size)
+
+
+def test_negative_int64_code_is_refused():
+    # -1 would read another subspace's table, and save_index would wrap it to 255.
+    idx, c = _small_pq()
+    codes = idx.list_codes[c].astype(np.int64)
+    codes[0, 0] = -1
+    with pytest.raises(DataError, match=f"posting list {c} has a code outside its sub-codebook"):
+        _with_codes(idx, c, codes)
+
+
+def test_float_codes_are_refused():
+    idx, c = _small_pq()
+    with pytest.raises(DataError, match=f"posting list {c} has a code outside its sub-codebook"):
+        _with_codes(idx, c, idx.list_codes[c].astype(np.float64))
+
+
+def test_code_rows_of_the_wrong_width_are_refused():
+    idx, c = _small_pq()
+    with pytest.raises(DataError, match=f"posting list {c} holds"):
+        _with_codes(idx, c, idx.list_codes[c][:, :-1])
+
+
+def test_int64_codes_in_range_are_stored_as_bytes():
+    idx, c = _small_pq()
+    got = _with_codes(idx, c, idx.list_codes[c].astype(np.int64))
+    assert got.list_codes[c].dtype == np.uint8
+    assert np.array_equal(got.list_codes[c], idx.list_codes[c])
+    q = np.ones((1, 8), dtype=np.float32)
+    assert np.array_equal(ivf_pq_search(got, q, 5)[0].dists, ivf_pq_search(idx, q, 5)[0].dists)
