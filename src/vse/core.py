@@ -44,14 +44,44 @@ class DataError(ValueError):
         self.label = label
 
 
+def _to_f32(convert, data, **kwargs) -> np.ndarray:
+    """convert(data, dtype=np.float32, **kwargs). A value past the f32 range
+    becomes infinity without numpy's overflow warning, for the row check to
+    report; f32 input takes no extra numpy call."""
+    if getattr(data, "dtype", None) == np.float32:
+        return convert(data, dtype=np.float32, **kwargs)
+    with np.errstate(over="ignore"):
+        return convert(data, dtype=np.float32, **kwargs)
+
+
+def _not_finite(src) -> str:
+    """Why values that are not finite once cast to f32 are refused, given
+    the values as passed: finite ones overflowed the cast."""
+    src = np.asarray(src)
+    if src.dtype.kind in "fiu" and np.isfinite(src).all():
+        return "holds a value outside the f32 range"
+    return "contains NaN or infinity"
+
+
+def _check_finite(arr: np.ndarray, data) -> np.ndarray:
+    """arr, the 2-d f32 form of `data`; else DataError(row=i) for its first
+    row that is not finite."""
+    finite = np.isfinite(arr)
+    if finite.all():
+        return arr
+    bad = int(np.argmin(finite.all(axis=1)))
+    reason = _not_finite(np.asarray(data).reshape(arr.shape)[bad])
+    raise DataError(f"row {bad} {reason}", row=bad)
+
+
 def _as_matrix_f32(vectors: np.ndarray, *, copy: bool) -> np.ndarray:
     # np.asarray, not np.array(copy=None), which numpy 1.x refuses.
-    arr = (np.array if copy else np.asarray)(vectors, dtype=np.float32, order="C")
+    arr = _to_f32(np.array if copy else np.asarray, vectors, order="C")
     if arr.ndim != 2:
         raise DataError(f"expected a 2-d array of row vectors, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DataError(f"empty embedding matrix with shape {arr.shape}")
-    return as_rows(arr)
+    return _check_finite(arr, vectors)
 
 
 def check_labels(labels: list[str]) -> None:
@@ -106,21 +136,17 @@ class EmbeddingSet:
 def as_rows(data) -> np.ndarray:
     """A batch of f32 rows: an EmbeddingSet's vectors, or an array taken as
     f32 with a 1-d array read as one row. DataError unless it is 2-d and
-    finite, naming the first row with a NaN or infinity (`row=`). It may be
+    finite in f32, naming the first row that is not (`row=`). It may be
     empty: callers that need rows or a given width check that themselves.
     """
     if isinstance(data, EmbeddingSet):
         return data.vectors
-    arr = np.ascontiguousarray(data, dtype=np.float32)
+    arr = _to_f32(np.ascontiguousarray, data)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise DataError(f"expected a 2-d batch of rows, got ndim={arr.ndim}")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        bad = int(np.argmin(finite.all(axis=1)))
-        raise DataError(f"row {bad} contains NaN or infinity", row=bad)
-    return arr
+    return _check_finite(arr, data)
 
 
 @dataclass(frozen=True)
@@ -166,18 +192,33 @@ def _squared_l2_rows(x: np.ndarray, y=None, pairs=None) -> np.ndarray:
 
 
 def _row_squared_norms(arr: np.ndarray) -> np.ndarray:
-    """Read-only f64 squared norm of every row, for exact_candidates."""
+    """Read-only f64 squared norm of every row."""
     norms = _squared_l2_rows(arr)
     norms.setflags(write=False)
     return norms
 
 
+def _bound_terms(arr: np.ndarray) -> np.ndarray:
+    """Read-only (3, n) f64 terms of flat.exact_candidates' error bound, one
+    column per row of arr (stored rows and queries alike): the row's
+    squared norm s from the canonical kernel, sqrt(2 g s) with
+    g = d 2^-24 / (1 - d 2^-24), and (3d + 16) 2^-53 s + 4 d 2^-126.
+    """
+    d = arr.shape[1]
+    g = d * 2.0**-24 / (1.0 - d * 2.0**-24)
+    terms = _squared_l2_rows(arr) * np.array([[1.0], [2.0 * g], [(3 * d + 16) * 2.0**-53]])
+    np.sqrt(terms[1], out=terms[1])
+    terms[2] += 4 * d * 2.0**-126
+    terms.setflags(write=False)
+    return terms
+
+
 def _as_vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float32)
+    arr = _to_f32(np.asarray, v)
     if arr.ndim != 1:
         raise DataError(f"{name} must be a 1-d vector, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
-        raise DataError(f"{name} contains NaN or infinity")
+        raise DataError(f"{name} {_not_finite(v)}")
     return arr
 
 

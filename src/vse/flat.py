@@ -1,13 +1,14 @@
 """Exact k-nearest-neighbor search over the full base set.
 
 This is the accuracy ceiling the approximate indexes are measured against.
-Each query ranks every stored vector by ||x||^2 + ||q||^2 - 2 x.q, with the
-dot products from one f32 matrix-vector product and the norms cached in
-f64. Every row carries a proven bound on how far that estimate can be from
-the canonical squared-L2 kernel, so a shortlist of the rows whose bounds
-reach the k-th best is sure to hold the true k nearest. Only the shortlist
-is scored by the canonical kernel and ordered by the global (distance, id)
-tie rule, so every returned distance is the canonical one.
+A block of queries ranks every stored vector by ||x||^2 + ||q||^2 - 2 x.q,
+with the dot products from one f32 matrix product for the whole block and
+the norms cached in f64. Every (row, query) pair carries a proven bound on
+how far that estimate can be from the canonical squared-L2 kernel, so a
+shortlist of the rows whose bounds reach the query's k-th best is sure to
+hold its true k nearest. Only the shortlist is scored by the canonical
+kernel and ordered by the global (distance, id) tie rule, so every returned
+distance is the canonical one, whatever the block.
 """
 
 from __future__ import annotations
@@ -22,24 +23,33 @@ from .core import (
     DataError,
     EmbeddingSet,
     SearchResult,
-    _row_squared_norms,
+    _bound_terms,
+    _squared_l2_rows,
     as_rows,
-    squared_l2_batch,
     top_k_smallest,
 )
 
 __all__ = ["FlatIndex", "flat_build", "flat_search"]
+
+# Cap on the (row, query) pairs a block of queries scans at once, as
+# kmeans._BLOCK_ELEMS caps its blocks: each f64 temporary stays near 16 MiB.
+_BLOCK_ELEMS = 1 << 21
 
 
 @dataclass(frozen=True)
 class FlatIndex:
     kind: ClassVar[str] = "flat"
     base: EmbeddingSet
-    # Squared norm of every base row in f64, read-only.
-    norms: np.ndarray = field(init=False, compare=False, repr=False)
+    # _bound_terms of the base rows.
+    terms: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "norms", _row_squared_norms(self.base.vectors))
+        object.__setattr__(self, "terms", _bound_terms(self.base.vectors))
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Squared norm of every base row in f64, read-only."""
+        return self.terms[0]
 
     @property
     def count(self) -> int:
@@ -71,94 +81,123 @@ def query_matrix(queries, dim: int) -> np.ndarray:
     return q
 
 
-def run_per_query(n_queries: int, threads: int, worker) -> list:
-    """Run `worker(i)` for each query index, optionally across a thread pool.
+def block_queries(rows: int) -> int:
+    """How many queries one block may hold when each meets `rows` rows:
+    _BLOCK_ELEMS // rows, and at least one."""
+    return max(1, _BLOCK_ELEMS // max(rows, 1))
+
+
+def query_blocks(n_queries: int, rows: int, parts: int = 1) -> list[slice]:
+    """The fewest near-equal slices of n_queries, and at least `parts` of
+    them, with at most block_queries(rows) queries each."""
+    count = max(-(-n_queries // block_queries(rows)), min(parts, n_queries))
+    cuts = [n_queries * i // count for i in range(count + 1)] if count else [0]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def run_per_query(blocks: list[slice], threads: int, worker) -> list:
+    """The results of `worker(block)` for each query block, concatenated.
 
     Results land in query order whatever the thread count; workers touch
-    only read-only index state and their own output slot. The pool never
-    measured faster than one thread over numpy's default BLAS threads
-    beyond the host's spread (README, "Thread counts"). It stays only while
+    only read-only index state and their own blocks. A block's queries
+    already share each matrix product over the rows they scan; a pool runs
+    blocks side by side. Over numpy's default BLAS threads the pool made
+    neither flat nor ivf_flat faster; over one BLAS thread it did for flat
+    and ivf_pq (README, "Thread counts"). It stays only while
     bench/workloads.py passes `threads=1` to the three searches.
     """
-    results: list = [None] * n_queries
-    if threads <= 1 or n_queries <= 1:
-        for i in range(n_queries):
-            results[i] = worker(i)
-        return results
+    if threads <= 1 or len(blocks) <= 1:
+        return [res for block in blocks for res in worker(block)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in zip(range(n_queries), pool.map(worker, range(n_queries))):
-            results[i] = res
-    return results
+        return [res for part in pool.map(worker, blocks) for res in part]
 
 
 def exact_candidates(
-    vectors: np.ndarray, norms: np.ndarray, query: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of `vectors` that can be among the k nearest to `query`.
+    vectors: np.ndarray, terms: np.ndarray, queries: np.ndarray, qterms: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each query of a block, the rows of `vectors` that can be among
+    its k nearest.
 
-    Returns their ascending row numbers and canonical-kernel distances;
-    every row of the true top k by (distance, row) is among them.
-    `norms` is _row_squared_norms(vectors).
+    `terms` and `qterms` are _bound_terms of vectors and queries. Returns
+    (counts, rows, dists): the first counts[0] rows are query 0's, the next
+    counts[1] query 1's, and so on, each ascending, with their
+    canonical-kernel distances in dists; every row of a query's true top k
+    by (distance, row) is among its rows.
     """
-    n, d = vectors.shape
+    n, b = vectors.shape[0], queries.shape[0]
     if k >= n:
-        return np.arange(n), squared_l2_batch(vectors, query)
-    # Row i is ranked by approx_i = n_i + n_q - 2 dot_i: n_i and n_q are the
-    # f64 squared norms of x_i and q, dot_i the f32 product x_i.q. The
-    # canonical kernel's value C_i is within B_i of approx_i, term by term:
-    # - f32 dot: |dot_i - x_i.q| <= g ||x_i|| ||q||, g = d u / (1 - d u),
-    #   u = 2^-24, for any summation order, with or without FMA, so for any
-    #   BLAS kernel and thread split. approx_i doubles it: 2 g ||x_i|| ||q||.
-    # - f32 underflow: each of the d products and d - 1 sums loses at most
-    #   2^-126 more when its result is tiny, even where subnormal results
-    #   flush to zero; carried through the later sums (a factor 1 + g < 2)
-    #   and doubled, under 8 d 2^-126.
-    # - f64 rounding, v = 2^-53: n_i and n_q are off by at most (d - 1) v
-    #   times themselves (squares of f32 values are exact in f64); the
-    #   assembly by 4 v (n_i + n_q); the canonical kernel by (d + 2) v times
-    #   the distance, which is at most 2 (n_i + n_q). That sums to
-    #   (3d + 7) v (n_i + n_q); 3d + 16 also covers the rounding of B_i and
-    #   of approx_i +- B_i.
-    # At least k rows have C_i <= approx_i + B_i <= t, the k-th smallest
-    # upper end, so every row of the true top k has approx_i - B_i <= t and
-    # is kept. A row whose upper end is not finite (f32 overflow in the
-    # dot) has no bound and is always kept.
-    g = d * 2.0**-24 / (1.0 - d * 2.0**-24)
-    q64 = query.astype(np.float64)
-    nq = float(q64 @ q64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        approx = np.multiply(vectors @ query, -2.0, dtype=np.float64)
-    approx += norms
-    approx += nq
-    f64 = (3 * d + 16) * 2.0**-53
-    bound = np.sqrt(norms)
-    bound *= 2.0 * g * np.sqrt(nq)
-    bound += f64 * norms
-    bound += f64 * nq + 8 * d * 2.0**-126
-    upper = approx + bound
-    unsure = ~np.isfinite(upper)
-    upper[unsure] = np.inf
-    upper.partition(k - 1)
-    approx -= bound
-    keep = approx <= upper[k - 1]
-    keep |= unsure
-    rows = np.flatnonzero(keep)
-    return rows, squared_l2_batch(vectors[rows], query)
+        keep = np.ones((b, n), dtype=bool)
+    else:
+        # Row i is ranked for query j by approx = n_i + n_j - 2 dot: n_i and
+        # n_j are the f64 squared norms of x_i and q_j, dot the f32 product
+        # x_i.q_j. The canonical kernel's value C is within B of approx, term
+        # by term:
+        # - f32 dot: |dot - x_i.q_j| <= g ||x_i|| ||q_j||, g = d u / (1 - d u),
+        #   u = 2^-24, for any summation order, with or without FMA, so for
+        #   any BLAS kernel, block shape and thread split. approx doubles it:
+        #   2 g ||x_i|| ||q_j||, formed as sqrt(2 g n_i) sqrt(2 g n_j).
+        # - f32 underflow: each of the d products and d - 1 sums loses at
+        #   most 2^-126 more when its result is tiny, even where subnormal
+        #   results flush to zero; carried through the later sums (a factor
+        #   1 + g < 2) and doubled, under 8 d 2^-126, half in each term.
+        # - f64 rounding, v = 2^-53: n_i and n_j are off by at most (d - 1) v
+        #   times themselves (squares of f32 values are exact in f64); the
+        #   assembly by 4 v (n_i + n_j); the canonical kernel by (d + 2) v
+        #   times the distance, which is at most 2 (n_i + n_j). That sums to
+        #   (3d + 7) v (n_i + n_j); 3d + 16 also covers the roundings of the
+        #   terms, of B from them and of approx +- B.
+        # At least k rows have C <= approx + B <= t, the k-th smallest upper
+        # end for query j, so every row of its true top k has approx - B <= t
+        # and is kept. A row whose upper end is not finite (f32 overflow in
+        # the dot) has no bound and is always kept.
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = np.multiply(queries @ vectors.T, -2.0, dtype=np.float64)
+        approx += terms[0]
+        approx += qterms[0][:, None]
+        bound = np.multiply.outer(qterms[1], terms[1])
+        bound += terms[2]
+        bound += qterms[2][:, None]
+        upper = approx + bound
+        finite = np.isfinite(upper)
+        overflow = not finite.all()
+        if overflow:
+            upper[~finite] = np.inf
+        upper.partition(k - 1, axis=1)
+        approx -= bound
+        keep = approx <= upper[:, k - 1 : k]
+        if overflow:
+            keep |= ~finite
+    kept = np.flatnonzero(keep)
+    if b == 1:
+        # One query meets each kept row as it is.
+        rows, pairs, counts = kept, None, [kept.size]
+    else:
+        pairs, rows = np.divmod(kept, n)
+        counts = np.bincount(pairs, minlength=b).tolist()
+    return counts, rows, _squared_l2_rows(vectors[rows], queries, pairs=pairs)
 
 
 def flat_search(index: FlatIndex, queries, k: int, threads: int = 1) -> list[SearchResult]:
     """Exactly the k nearest base vectors per query, ties by ascending id.
 
-    `threads` is kept for the benchmark's calls; see run_per_query.
+    The batch is scanned in query blocks of at most _BLOCK_ELEMS (row,
+    query) pairs. `threads` is kept for the benchmark's calls; see
+    run_per_query.
     """
     q = query_matrix(queries, index.dim)
     if not 1 <= k <= index.count:
         raise DataError(f"k must be in [1, {index.count}], got {k}")
     base = index.base.vectors
 
-    def worker(i: int) -> SearchResult:
-        ids, dists = exact_candidates(base, index.norms, q[i], k)
-        ids_k, d_k = top_k_smallest(dists, ids, k)
-        return SearchResult(ids=ids_k, dists=d_k, approximate=False)
+    def worker(block: slice) -> list[SearchResult]:
+        qb = q[block]
+        counts, rows, dists = exact_candidates(base, index.terms, qb, _bound_terms(qb), k)
+        out, start = [], 0
+        for count in counts:
+            end = start + count
+            ids_k, d_k = top_k_smallest(dists[start:end], rows[start:end], k)
+            out.append(SearchResult(ids=ids_k, dists=d_k, approximate=False))
+            start = end
+        return out
 
-    return run_per_query(q.shape[0], threads, worker)
+    return run_per_query(query_blocks(q.shape[0], index.count, threads), threads, worker)

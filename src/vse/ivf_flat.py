@@ -3,10 +3,12 @@
 The base set is partitioned into nlist posting lists by a k-means coarse
 quantizer. A query ranks the coarse centroids, scans only the nprobe
 nearest lists, and orders those candidates by exact squared L2 on the full
-stored vectors. Each list is scanned as flat search scans its base: an f32
-estimate with a proven bound picks the rows that can be among the k
-nearest, and only those are scored by the canonical kernel. Probing every
-list reproduces the flat index bit for bit.
+stored vectors. A batch is scanned list by list: each probed list is
+scanned once for every query of a block that probes it, as flat search
+scans its base, with one f32 matrix product for those queries and a proven
+bound that picks the rows that can be among each query's k nearest; only
+those are scored by the canonical kernel. Probing every list reproduces
+the flat index bit for bit.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from .core import (
     DataError,
     EmbeddingSet,
     SearchResult,
-    _row_squared_norms,
+    _bound_terms,
+    _to_f32,
     check_labels,
-    squared_l2_batch,
     top_k_smallest,
 )
-from .flat import exact_candidates, query_matrix, run_per_query
+from .flat import block_queries, exact_candidates, query_blocks, query_matrix, run_per_query
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = ["IvfFlatIndex", "ivf_flat_build", "ivf_flat_search", "default_nprobe"]
@@ -37,8 +39,9 @@ def default_nprobe(nlist: int) -> int:
 
 def probe_order(coarse: Codebook, query: np.ndarray, nprobe: int) -> np.ndarray:
     """The nprobe coarse centroids nearest the query, (distance, id) order."""
-    d = squared_l2_batch(coarse.centroids, query)
-    ids, _ = top_k_smallest(d, np.arange(coarse.k, dtype=np.int64), nprobe)
+    q = query.reshape(1, -1)
+    _, ids, d = exact_candidates(coarse.centroids, coarse.terms, q, _bound_terms(q), nprobe)
+    ids, _ = top_k_smallest(d, ids, nprobe)
     return ids
 
 
@@ -90,7 +93,10 @@ def check_posting_lists(index, code_caps: np.ndarray | None = None) -> None:
         ):
             raise DataError(f"posting list {c} has a code outside its sub-codebook")
         list_ids.append(np.ascontiguousarray(ids, dtype=np.int64))
-        rows_of.append(np.ascontiguousarray(rows, dtype=np.uint8 if pq else np.float32))
+        if pq:
+            rows_of.append(np.ascontiguousarray(rows, dtype=np.uint8))
+        else:
+            rows_of.append(_to_f32(np.ascontiguousarray, rows))
         list_ids[-1].setflags(write=False)
         rows_of[-1].setflags(write=False)
     count = len(index.labels)
@@ -109,16 +115,19 @@ class IvfFlatIndex:
     list_vectors: tuple[np.ndarray, ...]
     labels: list[str]
     normalized: bool
-    # _row_squared_norms of each list's vectors.
-    list_norms: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+    # _bound_terms of each list's vectors.
+    list_terms: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_posting_lists(self)
-        norms = tuple(_row_squared_norms(v) for v in self.list_vectors)
+        terms = tuple(_bound_terms(v) for v in self.list_vectors)
         # An f32 row's f64 squared norm is finite exactly when the row is.
-        if not all(np.isfinite(n).all() for n in norms):
-            raise DataError("posting list vectors contain NaN or infinity")
-        object.__setattr__(self, "list_norms", norms)
+        for c, t in enumerate(terms):
+            if not np.isfinite(t[0]).all():
+                raise DataError(
+                    f"posting list {c} holds NaN, infinity or a value outside the f32 range"
+                )
+        object.__setattr__(self, "list_terms", terms)
 
     @property
     def nlist(self) -> int:
@@ -147,15 +156,18 @@ def ivf_flat_build(base: EmbeddingSet, nlist: int, seed: int = 0, max_iters: int
 
 
 def ivf_search(
-    index, queries, k: int, nprobe: int | None, threads: int, score_list, exact: bool
+    index, queries, k: int, nprobe: int | None, threads: int, score_lists, exact: bool
 ) -> list[SearchResult]:
     """The query loop of both IVF kinds: probe, score the probed lists, take top-k.
 
-    `score_list(query, c)` returns ids from posting list c and their
-    distances, at least every entry that can be among that list's k
-    nearest; it is the only step that differs between ivf_flat and ivf_pq.
-    `exact` says the scores are true distances, so probing every list is
-    exact.
+    The batch goes in query blocks of about _BLOCK_ELEMS scanned rows.
+    Each block's (query, probed list) pairs are grouped by list, so that
+    `score_lists(qb, groups, found)` sees each probed list c once, as
+    (c, ascending rows of qb that probe it). For each such row j it
+    appends to found[j] the (ids, distances) of at least every entry of
+    list c that can be among query j's k nearest. It is the only step that
+    differs between ivf_flat and ivf_pq. `exact` says the scores are true
+    distances, so probing every list is exact.
     """
     q = query_matrix(queries, index.dim)
     if k < 1:
@@ -166,15 +178,25 @@ def ivf_search(
         raise DataError(f"nprobe must be in [1, {index.nlist}], got {nprobe}")
     approximate = not (exact and nprobe == index.nlist)
 
-    def worker(i: int) -> SearchResult:
-        parts = [score_list(q[i], c) for c in probe_order(index.coarse, q[i], nprobe)]
-        ids = np.concatenate([part_ids for part_ids, _ in parts])
-        dists = np.concatenate([part_dists for _, part_dists in parts])
-        kk = min(k, ids.shape[0])
-        ids_k, d_k = top_k_smallest(dists, ids, kk) if kk else (ids, dists)
-        return SearchResult(ids=ids_k, dists=d_k, approximate=approximate)
+    def worker(block: slice) -> list[SearchResult]:
+        qb = q[block]
+        groups: dict[int, list[int]] = {}
+        for j, x in enumerate(qb):
+            for c in probe_order(index.coarse, x, nprobe).tolist():
+                groups.setdefault(c, []).append(j)
+        found: list[list] = [[] for _ in range(qb.shape[0])]
+        score_lists(qb, groups.items(), found)
+        out = []
+        for parts in found:
+            ids = np.concatenate([part_ids for part_ids, _ in parts])
+            dists = np.concatenate([part_dists for _, part_dists in parts])
+            kk = min(k, ids.shape[0])
+            ids_k, d_k = top_k_smallest(dists, ids, kk) if kk else (ids, dists)
+            out.append(SearchResult(ids=ids_k, dists=d_k, approximate=approximate))
+        return out
 
-    return run_per_query(q.shape[0], threads, worker)
+    scanned = nprobe * -(-index.count // index.nlist)
+    return run_per_query(query_blocks(q.shape[0], scanned, threads), threads, worker)
 
 
 def ivf_flat_search(
@@ -186,8 +208,19 @@ def ivf_flat_search(
     `threads` is kept for the benchmark's calls; see flat.run_per_query.
     """
 
-    def score_list(query: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-        rows, dists = exact_candidates(index.list_vectors[c], index.list_norms[c], query, k)
-        return index.list_ids[c][rows], dists
+    def score_lists(qb: np.ndarray, groups, found: list[list]) -> None:
+        qterms = _bound_terms(qb)
+        for c, who in groups:
+            vectors, ids = index.list_vectors[c], index.list_ids[c]
+            step = block_queries(vectors.shape[0])
+            for start in range(0, len(who), step):
+                sel = who[start : start + step]
+                # A group of every query of the block takes it as it is.
+                qs, qt = (qb, qterms) if len(sel) == len(qb) else (qb[sel], qterms[:, sel])
+                counts, rows, dists = exact_candidates(vectors, index.list_terms[c], qs, qt, k)
+                rows, end = ids[rows], 0
+                for j, count in zip(sel, counts):
+                    found[j].append((rows[end : end + count], dists[end : end + count]))
+                    end += count
 
-    return ivf_search(index, queries, k, nprobe, threads, score_list, exact=True)
+    return ivf_search(index, queries, k, nprobe, threads, score_lists, exact=True)

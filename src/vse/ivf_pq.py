@@ -3,15 +3,18 @@
 Vectors are filed under a coarse quantizer as byte codes: the residual
 (vector minus its coarse centroid) is split into m slices, each quantized
 against its own sub-codebook of up to 256 centroids. A query never decodes
-candidates; per probed list it builds all m tables of slice-to-centroid
-distances in one pass over the stacked sub-codebooks, and sums m lookups
-per candidate. Distances in results are those estimates, so every result
-is flagged approximate.
+candidates; per (query, probed list) pair it builds all m tables of
+slice-to-centroid distances in one pass over the stacked sub-codebooks,
+and sums m lookups per candidate with one gather. A batch is scanned list
+by list; each list's codes are kept as entries of the flattened tables,
+formed once at the first search. Distances in results are those
+estimates, so every result is flagged approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -78,6 +81,14 @@ class IvfPqIndex:
             stacked[j, : cb.k] = cb.centroids
         stacked.setflags(write=False)
         object.__setattr__(self, "stacked_subs", stacked)
+
+    @cached_property
+    def code_entries(self) -> tuple[np.ndarray, ...]:
+        """Each list's codes as entries of a query's flattened (m, KSUB)
+        tables: code b of subspace j is entry j * KSUB + b. Computed on
+        first search."""
+        offsets = KSUB * np.arange(self.params.m)
+        return tuple(codes + offsets for codes in self.list_codes)
 
     @property
     def nlist(self) -> int:
@@ -217,12 +228,11 @@ def ivf_pq_search(
     `threads` is kept for the benchmark's calls; see flat.run_per_query.
     """
 
-    # Code byte b of subspace j is entry j * KSUB + b of the flattened tables.
-    offsets = KSUB * np.arange(index.m)
+    def score_lists(qb: np.ndarray, groups, found: list[list]) -> None:
+        for c, who in groups:
+            ids, entries = index.list_ids[c], index.code_entries[c]
+            for j in who:
+                tables = adc_table(index, qb[j], c)
+                found[j].append((ids, tables.ravel()[entries].sum(axis=1)))
 
-    def score_list(query: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-        tables = adc_table(index, query, int(c))
-        terms = tables.ravel()[index.list_codes[c] + offsets]
-        return index.list_ids[c], terms.sum(axis=1)
-
-    return ivf_search(index, queries, k, nprobe, threads, score_list, exact=False)
+    return ivf_search(index, queries, k, nprobe, threads, score_lists, exact=False)

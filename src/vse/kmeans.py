@@ -30,10 +30,18 @@ bits it would get alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import _BLOCK_ROWS, DataError, _squared_l2_rows, as_rows, squared_l2_batch
+from .core import (
+    _BLOCK_ROWS,
+    DataError,
+    _bound_terms,
+    _squared_l2_rows,
+    as_rows,
+    squared_l2_batch,
+)
 
 __all__ = ["Codebook", "Assignment", "kmeans_train", "assign"]
 
@@ -62,6 +70,12 @@ class Codebook:
             raise DataError(f"inertia must be finite and >= 0, got {self.inertia}")
         c.setflags(write=False)
         object.__setattr__(self, "centroids", c)
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """_bound_terms of the centroids, for ranking them in exact order;
+        computed on first use, as only a coarse quantizer needs them."""
+        return _bound_terms(self.centroids)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Everything here is written against the public contracts only, in the
 plainest form possible (per-row loops, full sorts), so that agreement
 with the library is evidence rather than tautology. Only numpy and the
-standard library are used. The k-means loops of vse 0.4.0, and the ADC
-loop, per-folder cleaning and distance kernels of vse 0.4.1, are kept
+standard library are used. The k-means loops of vse 0.4.0, the ADC
+loop, per-folder cleaning and distance kernels of vse 0.4.1, and the
+one-query-at-a-time flat and ivf_flat searches of vse 0.5.0 are kept
 here too, so later versions can be held to the same bits.
 """
 
@@ -393,3 +394,81 @@ def crc64_reference(data: bytes) -> int:
     for b in data[n8:]:
         crc = t0[(crc ^ b) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFFFFFFFFFF
+
+
+# The one-query-at-a-time searches of vse 0.5.0: one f32 matrix-vector
+# product per (query, scanned row block), PR 4's bound per row, the
+# canonical kernel on the shortlist. Kept to hold the blocked searches of
+# later versions to the same bits.
+
+
+def _canonical_v050(rows, query):
+    """vse 0.5.0's squared_l2_batch: f64 difference, squared, last-axis sum."""
+    d = rows.astype(np.float64) - query.astype(np.float64)
+    np.square(d, out=d)
+    return d.sum(axis=-1)
+
+
+def exact_candidates_v050(vectors, query, k):
+    """vse 0.5.0's flat.exact_candidates of one query: the ascending rows
+    whose bound reaches the k-th smallest upper end, and their canonical
+    distances. Every row of the true top k is among them."""
+    n, d = vectors.shape
+    if k >= n:
+        return np.arange(n), _canonical_v050(vectors, query)
+    norms = (vectors.astype(np.float64) ** 2).sum(axis=-1)
+    g = d * 2.0**-24 / (1.0 - d * 2.0**-24)
+    q64 = query.astype(np.float64)
+    nq = float(q64 @ q64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = np.multiply(vectors @ query, -2.0, dtype=np.float64)
+    approx += norms
+    approx += nq
+    f64 = (3 * d + 16) * 2.0**-53
+    bound = np.sqrt(norms)
+    bound *= 2.0 * g * np.sqrt(nq)
+    bound += f64 * norms
+    bound += f64 * nq + 8 * d * 2.0**-126
+    upper = approx + bound
+    unsure = ~np.isfinite(upper)
+    upper[unsure] = np.inf
+    upper.partition(k - 1)
+    approx -= bound
+    keep = approx <= upper[k - 1]
+    keep |= unsure
+    rows = np.flatnonzero(keep)
+    return rows, _canonical_v050(vectors[rows], query)
+
+
+def _top_k_v050(dists, ids, k):
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]
+
+
+def flat_search_v050(index, queries, k):
+    """vse 0.5.0's flat_search loop: (ids, dists) per query."""
+    base = index.base.vectors
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    return [_top_k_v050(*exact_candidates_v050(base, q, k)[::-1], k) for q in queries]
+
+
+def probe_order_v050(coarse, query, nprobe):
+    """vse 0.5.0's probe_order: every centroid by the canonical kernel, the
+    nprobe nearest by (distance, list id)."""
+    d = _canonical_v050(coarse.centroids, np.asarray(query, dtype=np.float32))
+    return _top_k_v050(d, np.arange(coarse.k, dtype=np.int64), nprobe)[0]
+
+
+def ivf_flat_search_v050(index, queries, k, nprobe):
+    """vse 0.5.0's ivf_flat_search loop: each query's probed lists scanned
+    one at a time, (ids, dists) per query."""
+    out = []
+    for q in np.atleast_2d(np.asarray(queries, dtype=np.float32)):
+        ids, dists = [], []
+        for c in probe_order_v050(index.coarse, q, nprobe):
+            rows, part = exact_candidates_v050(index.list_vectors[c], q, k)
+            ids.append(index.list_ids[c][rows])
+            dists.append(part)
+        ids, dists = np.concatenate(ids), np.concatenate(dists)
+        out.append(_top_k_v050(dists, ids, k))
+    return out

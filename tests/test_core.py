@@ -7,6 +7,7 @@ import oracles
 from vse import (
     DataError,
     EmbeddingSet,
+    IvfFlatIndex,
     assign,
     clean_gallery,
     flat_build,
@@ -262,3 +263,42 @@ def test_row_check_reads_a_vector_as_one_row_and_refuses_other_shapes():
         kmeans_train(np.zeros((0, 3), dtype=np.float32), 1)
     with pytest.raises(DataError, match="does not match index dim"):
         flat_search(index, np.zeros((2, 4), dtype=np.float32), 1)
+
+
+# A value finite in f64 but past the f32 range rounds to infinity in the
+# cast. Each entry point that casts reports it as DataError, without
+# numpy's overflow warning (an error under this suite's warning filter).
+
+
+def test_embedding_set_names_the_row_past_the_f32_range():
+    with pytest.raises(DataError, match="^row 1 holds a value outside the f32 range$") as err:
+        EmbeddingSet(vectors=np.array([[1.0], [1e300]]), labels=["a", "b"])
+    assert err.value.row == 1
+
+
+def test_row_check_names_the_row_past_the_f32_range():
+    with pytest.raises(DataError, match="^row 1 holds a value outside the f32 range$") as err:
+        kmeans_train(np.array([[1.0], [-1e39]]), 1)
+    assert err.value.row == 1
+
+
+def test_posting_list_past_the_f32_range_is_refused():
+    coarse = kmeans_train(np.eye(2, dtype=np.float32), 2)
+    with pytest.raises(DataError, match="posting list 1 holds .* outside the f32 range"):
+        IvfFlatIndex(
+            coarse=coarse,
+            list_ids=(np.array([0]), np.array([1])),
+            list_vectors=(np.zeros((1, 2)), np.array([[0.0, 4e38]])),
+            labels=["a", "b"],
+            normalized=False,
+        )
+
+
+def test_vector_past_the_f32_range_is_refused():
+    for call in (
+        lambda: squared_l2(np.array([1e300]), np.array([1.0])),
+        lambda: squared_l2_batch(np.ones((2, 1), dtype=np.float32), np.array([1e300])),
+        lambda: l2_normalize(np.array([1e300, 1.0])),
+    ):
+        with pytest.raises(DataError, match="holds a value outside the f32 range$"):
+            call()
