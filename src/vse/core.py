@@ -63,15 +63,15 @@ def _not_finite(src) -> str:
     return "contains NaN or infinity"
 
 
-def _check_finite(arr: np.ndarray, data) -> np.ndarray:
+def _check_finite(arr: np.ndarray, data, where: str = "") -> np.ndarray:
     """arr, the 2-d f32 form of `data`; else DataError(row=i) for its first
-    row that is not finite."""
+    row that is not finite, with `where` before the row in the message."""
     finite = np.isfinite(arr)
     if finite.all():
         return arr
     bad = int(np.argmin(finite.all(axis=1)))
     reason = _not_finite(np.asarray(data).reshape(arr.shape)[bad])
-    raise DataError(f"row {bad} {reason}", row=bad)
+    raise DataError(f"{where}row {bad} {reason}", row=bad)
 
 
 def _as_matrix_f32(vectors: np.ndarray, *, copy: bool) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, SearchResult
+from .core import DataError, EmbeddingSet, SearchResult, as_rows
 from .flat import FlatIndex, flat_build, flat_search
 from .ivf_flat import IvfFlatIndex, default_nprobe, ivf_flat_build, ivf_flat_search
 from .ivf_pq import IvfPqIndex, ivf_pq_build, ivf_pq_search
@@ -142,8 +142,8 @@ def make_split(source: EmbeddingSet, spec: SplitSpec) -> Split:
 def search_any(index, queries, k: int, nprobe: int | None = None) -> list[SearchResult]:
     """Dispatch a search on the index's kind; a flat index ignores nprobe.
 
-    Queries run one after another on the calling thread; see README,
-    "Thread counts".
+    The batch is scanned in query blocks on the calling thread; see
+    README, "Thread counts".
     """
     kind = getattr(index, "kind", None)
     if kind == FlatIndex.kind:
@@ -170,8 +170,11 @@ def _top1_label(index, result: SearchResult, threshold: float | None) -> str:
 
 
 def top1_identify(index, probe, threshold: float | None = None, nprobe: int | None = None) -> str:
-    """Label of the nearest gallery vector; REJECT when past the threshold."""
-    result = search_any(index, probe, k=1, nprobe=nprobe)[0]
+    """Label of the gallery vector nearest one probe; REJECT when past the threshold."""
+    q = as_rows(probe)
+    if q.shape[0] != 1:
+        raise DataError("top1_identify takes a single probe")
+    result = search_any(index, q, k=1, nprobe=nprobe)[0]
     return _top1_label(index, result, threshold)
 
 

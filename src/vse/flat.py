@@ -13,7 +13,6 @@ distance is the canonical one, whatever the block.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -87,29 +86,12 @@ def block_queries(rows: int) -> int:
     return max(1, _BLOCK_ELEMS // max(rows, 1))
 
 
-def query_blocks(n_queries: int, rows: int, parts: int = 1) -> list[slice]:
-    """The fewest near-equal slices of n_queries, and at least `parts` of
-    them, with at most block_queries(rows) queries each."""
-    count = max(-(-n_queries // block_queries(rows)), min(parts, n_queries))
-    cuts = [n_queries * i // count for i in range(count + 1)] if count else [0]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def run_per_query(blocks: list[slice], threads: int, worker) -> list:
-    """The results of `worker(block)` for each query block, concatenated.
-
-    Results land in query order whatever the thread count; workers touch
-    only read-only index state and their own blocks. A block's queries
-    already share each matrix product over the rows they scan; a pool runs
-    blocks side by side. Over numpy's default BLAS threads the pool made
-    neither flat nor ivf_flat faster; over one BLAS thread it did for flat
-    and ivf_pq (README, "Thread counts"). It stays only while
-    bench/workloads.py passes `threads=1` to the three searches.
-    """
-    if threads <= 1 or len(blocks) <= 1:
-        return [res for block in blocks for res in worker(block)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [res for part in pool.map(worker, blocks) for res in part]
+def check_threads(threads: int) -> None:
+    """The three searches keep `threads` only while the benchmark passes
+    threads=1; every search runs on the calling thread, so any other
+    value is refused."""
+    if threads != 1:
+        raise DataError(f"threads must be 1, got {threads}")
 
 
 def exact_candidates(
@@ -181,23 +163,20 @@ def flat_search(index: FlatIndex, queries, k: int, threads: int = 1) -> list[Sea
     """Exactly the k nearest base vectors per query, ties by ascending id.
 
     The batch is scanned in query blocks of at most _BLOCK_ELEMS (row,
-    query) pairs. `threads` is kept for the benchmark's calls; see
-    run_per_query.
+    query) pairs. `threads` takes only 1; see check_threads.
     """
+    check_threads(threads)
     q = query_matrix(queries, index.dim)
     if not 1 <= k <= index.count:
         raise DataError(f"k must be in [1, {index.count}], got {k}")
-    base = index.base.vectors
-
-    def worker(block: slice) -> list[SearchResult]:
-        qb = q[block]
+    base, out, step = index.base.vectors, [], block_queries(index.count)
+    for block in range(0, q.shape[0], step):
+        qb = q[block : block + step]
         counts, rows, dists = exact_candidates(base, index.terms, qb, _bound_terms(qb), k)
-        out, start = [], 0
+        start = 0
         for count in counts:
             end = start + count
             ids_k, d_k = top_k_smallest(dists[start:end], rows[start:end], k)
             out.append(SearchResult(ids=ids_k, dists=d_k, approximate=False))
             start = end
-        return out
-
-    return run_per_query(query_blocks(q.shape[0], index.count, threads), threads, worker)
+    return out

@@ -22,7 +22,15 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, _squared_l2_rows, normalize_rows
+from .core import (
+    DataError,
+    EmbeddingSet,
+    _as_vector,
+    _check_finite,
+    _squared_l2_rows,
+    _to_f32,
+    normalize_rows,
+)
 from .kmeans import kmeans_stack
 
 __all__ = [
@@ -47,14 +55,13 @@ class IdentityFolder:
     features: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.features, dtype=np.float32)
+        arr = _to_f32(np.ascontiguousarray, self.features)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise DataError(
                 f"folder {self.identity!r} needs a nonempty 2-d feature block, "
                 f"got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise DataError(f"folder {self.identity!r} contains non-finite features")
+        _check_finite(arr, self.features, f"folder {self.identity!r} ")
         arr.setflags(write=False)
         object.__setattr__(self, "features", arr)
 
@@ -238,17 +245,15 @@ def fuse(a, b, strategy: FusionStrategy) -> np.ndarray:
     `b` is ignored by SINGLE (may be None).
     """
     strategy = FusionStrategy(strategy)
-    av = np.asarray(a, dtype=np.float32)
+    av = _as_vector(a, "a")
     if strategy is FusionStrategy.SINGLE:
         return av.copy()
     if b is None:
         raise DataError(f"strategy {strategy.value} needs a second vector")
-    bv = np.asarray(b, dtype=np.float32)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise DataError(f"fusion needs two 1-d vectors of one dim, got {av.shape} and {bv.shape}")
-    return _fuse_f64(av.astype(np.float64), bv.astype(np.float64), strategy).astype(
-        np.float32
-    )
+    bv = _as_vector(b, "b")
+    if av.shape != bv.shape:
+        raise DataError(f"fusion needs two vectors of one dim, got {av.shape} and {bv.shape}")
+    return _as_vector(_fuse_f64(av.astype(np.float64), bv.astype(np.float64), strategy), "fused")
 
 
 def fuse_sets(
@@ -277,9 +282,10 @@ def fuse_sets(
     for i, (la, lb) in enumerate(zip(first.labels, second.labels)):
         if la != lb:
             raise DataError(f"row {i} labels differ: {la!r} vs {lb!r}")
-    fused = _fuse_f64(
+    fused64 = _fuse_f64(
         first.vectors.astype(np.float64), second.vectors.astype(np.float64), strategy
-    ).astype(np.float32)
+    )
+    fused = _check_finite(_to_f32(np.asarray, fused64), fused64, "fused ")
     if normalize:
         fused = normalize_rows(fused)
     return EmbeddingSet(vectors=fused, labels=first.labels, normalized=normalize)

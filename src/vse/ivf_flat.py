@@ -27,7 +27,7 @@ from .core import (
     check_labels,
     top_k_smallest,
 )
-from .flat import block_queries, exact_candidates, query_blocks, query_matrix, run_per_query
+from .flat import block_queries, check_threads, exact_candidates, query_matrix
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = ["IvfFlatIndex", "ivf_flat_build", "ivf_flat_search", "default_nprobe"]
@@ -156,7 +156,7 @@ def ivf_flat_build(base: EmbeddingSet, nlist: int, seed: int = 0, max_iters: int
 
 
 def ivf_search(
-    index, queries, k: int, nprobe: int | None, threads: int, score_lists, exact: bool
+    index, queries, k: int, nprobe: int | None, score_lists, exact: bool
 ) -> list[SearchResult]:
     """The query loop of both IVF kinds: probe, score the probed lists, take top-k.
 
@@ -177,26 +177,22 @@ def ivf_search(
     if not 1 <= nprobe <= index.nlist:
         raise DataError(f"nprobe must be in [1, {index.nlist}], got {nprobe}")
     approximate = not (exact and nprobe == index.nlist)
-
-    def worker(block: slice) -> list[SearchResult]:
-        qb = q[block]
+    out, step = [], block_queries(nprobe * -(-index.count // index.nlist))
+    for start in range(0, q.shape[0], step):
+        qb = q[start : start + step]
         groups: dict[int, list[int]] = {}
         for j, x in enumerate(qb):
             for c in probe_order(index.coarse, x, nprobe).tolist():
                 groups.setdefault(c, []).append(j)
         found: list[list] = [[] for _ in range(qb.shape[0])]
         score_lists(qb, groups.items(), found)
-        out = []
         for parts in found:
             ids = np.concatenate([part_ids for part_ids, _ in parts])
             dists = np.concatenate([part_dists for _, part_dists in parts])
             kk = min(k, ids.shape[0])
             ids_k, d_k = top_k_smallest(dists, ids, kk) if kk else (ids, dists)
             out.append(SearchResult(ids=ids_k, dists=d_k, approximate=approximate))
-        return out
-
-    scanned = nprobe * -(-index.count // index.nlist)
-    return run_per_query(query_blocks(q.shape[0], scanned, threads), threads, worker)
+    return out
 
 
 def ivf_flat_search(
@@ -205,8 +201,9 @@ def ivf_flat_search(
     """Scan the nprobe nearest lists, rank candidates by exact distance.
 
     Fewer than k candidates in the probed lists returns the short list.
-    `threads` is kept for the benchmark's calls; see flat.run_per_query.
+    `threads` takes only 1; see flat.check_threads.
     """
+    check_threads(threads)
 
     def score_lists(qb: np.ndarray, groups, found: list[list]) -> None:
         qterms = _bound_terms(qb)
@@ -223,4 +220,4 @@ def ivf_flat_search(
                     found[j].append((rows[end : end + count], dists[end : end + count]))
                     end += count
 
-    return ivf_search(index, queries, k, nprobe, threads, score_lists, exact=True)
+    return ivf_search(index, queries, k, nprobe, score_lists, exact=True)

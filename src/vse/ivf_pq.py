@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import DataError, EmbeddingSet, SearchResult
-from .flat import query_matrix
+from .flat import check_threads, query_matrix
 from .ivf_flat import check_posting_lists, coarse_lists, ivf_search
 from .kmeans import Codebook, assign, kmeans_train
 
@@ -186,11 +186,15 @@ def ivf_pq_encode(index: IvfPqIndex, x) -> tuple[int, np.ndarray]:
 
 def ivf_pq_decode(index: IvfPqIndex, list_id: int, codes) -> np.ndarray:
     """Reconstruct coarse centroid + concatenated sub-centroids."""
+    if not isinstance(list_id, (int, np.integer)):
+        raise DataError(f"list id must be an integer, got {list_id!r}")
     if not 0 <= list_id < index.nlist:
         raise DataError(f"list id {list_id} out of range [0, {index.nlist})")
-    c = np.asarray(codes, dtype=np.int64)
+    c = np.asarray(codes)
     if c.shape != (index.m,):
         raise DataError(f"expected {index.m} codes, got shape {c.shape}")
+    if c.dtype.kind not in "iu":
+        raise DataError(f"codes must be integers, got dtype {c.dtype}")
     caps = np.array([cb.k for cb in index.subs])
     bad = np.flatnonzero((c < 0) | (c >= caps))
     if bad.size:
@@ -225,8 +229,9 @@ def ivf_pq_search(
 ) -> list[SearchResult]:
     """Rank candidates in the nprobe nearest lists by summed table lookups.
 
-    `threads` is kept for the benchmark's calls; see flat.run_per_query.
+    `threads` takes only 1; see flat.check_threads.
     """
+    check_threads(threads)
 
     def score_lists(qb: np.ndarray, groups, found: list[list]) -> None:
         for c, who in groups:
@@ -235,4 +240,4 @@ def ivf_pq_search(
                 tables = adc_table(index, qb[j], c)
                 found[j].append((ids, tables.ravel()[entries].sum(axis=1)))
 
-    return ivf_search(index, queries, k, nprobe, threads, score_lists, exact=False)
+    return ivf_search(index, queries, k, nprobe, score_lists, exact=False)

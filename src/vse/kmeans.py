@@ -38,7 +38,9 @@ from .core import (
     _BLOCK_ROWS,
     DataError,
     _bound_terms,
+    _check_finite,
     _squared_l2_rows,
+    _to_f32,
     as_rows,
     squared_l2_batch,
 )
@@ -59,13 +61,12 @@ class Codebook:
     inertia: float
 
     def __post_init__(self) -> None:
-        c = np.ascontiguousarray(self.centroids, dtype=np.float32)
+        c = _to_f32(np.ascontiguousarray, self.centroids)
         if self.k < 1 or c.shape != (self.k, self.dim):
             raise DataError(
                 f"centroid block {c.shape} does not match k={self.k}, dim={self.dim}"
             )
-        if not np.isfinite(c).all():
-            raise DataError("codebook contains NaN or infinity")
+        _check_finite(c, self.centroids, "codebook ")
         if not (np.isfinite(self.inertia) and self.inertia >= 0.0):
             raise DataError(f"inertia must be finite and >= 0, got {self.inertia}")
         c.setflags(write=False)

@@ -1,8 +1,8 @@
 """Batched searches against the one-query-at-a-time loops of vse 0.5.0.
 
 Each search scans a batch in query blocks, and each IVF list once for every
-query of a block that probes it. Whatever the batch size, block cap and
-thread count, every result must carry the bits the per-query loop gave.
+query of a block that probes it. Whatever the batch size and block cap,
+every result must carry the bits the per-query loop gave.
 """
 
 import numpy as np
@@ -29,6 +29,7 @@ from vse import (
     ivf_pq_search,
 )
 from vse import flat
+from vse.flat import exact_candidates
 from vse.ivf_flat import probe_order
 
 BATCHES = [1, 2, 17, 200]
@@ -93,14 +94,13 @@ cases = dict(
     nlist=st.integers(1, 6),
     batch=st.sampled_from(BATCHES),
     cap=st.sampled_from(CAPS),
-    threads=st.sampled_from([1, 2]),
 )
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(**cases)
 def test_flat_and_ivf_flat_match_the_per_query_loop(
-    seed, family, count, dim, nlist, batch, cap, threads
+    seed, family, count, dim, nlist, batch, cap
 ):
     rows, owner, centroids, queries = draw_case(seed, family, count, dim, min(nlist, count), batch)
     ivf = ivf_flat_index(rows, owner, centroids)
@@ -108,15 +108,15 @@ def test_flat_and_ivf_flat_match_the_per_query_loop(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flat, "_BLOCK_ELEMS", cap)
         for k in sorted({1, min(10, count), count}):
-            got = flat_search(base, queries, k, threads=threads)
+            got = flat_search(base, queries, k)
             assert_same(got, flat_search_v050(base, queries, k), approximate=False)
             # Probing every list gives flat's bits.
-            assert_same(ivf_flat_search(ivf, queries, k, nprobe=ivf.nlist, threads=threads),
+            assert_same(ivf_flat_search(ivf, queries, k, nprobe=ivf.nlist),
                         [(r.ids, r.dists) for r in got], approximate=False)
         # More than every list holds, and than the base holds.
         for k in (1, 10, count + 1):
             for nprobe in sorted({1, default_nprobe(ivf.nlist), ivf.nlist}):
-                got = ivf_flat_search(ivf, queries, k, nprobe=nprobe, threads=threads)
+                got = ivf_flat_search(ivf, queries, k, nprobe=nprobe)
                 want = ivf_flat_search_v050(ivf, queries, k, nprobe)
                 assert_same(got, want, approximate=nprobe < ivf.nlist)
 
@@ -171,10 +171,9 @@ def ivf_pq_index(rng, owner, nlist, m, subdim, small_k):
     small_k=st.booleans(),
     batch=st.sampled_from(BATCHES),
     cap=st.sampled_from(CAPS),
-    threads=st.sampled_from([1, 2]),
 )
 def test_ivf_pq_matches_the_per_query_loop(
-    seed, count, nlist, m, subdim, small_k, batch, cap, threads
+    seed, count, nlist, m, subdim, small_k, batch, cap
 ):
     rng = np.random.default_rng(seed)
     nlist = min(nlist, count)
@@ -185,20 +184,29 @@ def test_ivf_pq_matches_the_per_query_loop(
         mp.setattr(flat, "_BLOCK_ELEMS", cap)
         for k in (1, 10, count + 1):
             for nprobe in sorted({1, default_nprobe(nlist), nlist}):
-                got = ivf_pq_search(idx, queries, k, nprobe=nprobe, threads=threads)
+                got = ivf_pq_search(idx, queries, k, nprobe=nprobe)
                 assert_same(got, ivf_pq_search_v041(idx, queries, k, nprobe), approximate=True)
 
 
 @pytest.mark.parametrize("cap", CAPS)
-@pytest.mark.parametrize("threads", [1, 2])
-def test_query_blocks_cover_the_batch_in_order(cap, threads):
+def test_query_blocks_cover_the_batch_in_order(cap):
+    blocks = []
+
+    def spy(vectors, terms, queries, qterms, k):
+        blocks.append(queries)
+        return exact_candidates(vectors, terms, queries, qterms, k)
+
+    rng = np.random.default_rng(0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flat, "_BLOCK_ELEMS", cap)
-        for n in (0, 1, 2, 17, 200):
-            for rows in (0, 1, 7, 5000):
-                blocks = flat.query_blocks(n, rows, threads)
-                assert [i for b in blocks for i in range(n)[b]] == list(range(n))
-                sizes = [b.stop - b.start for b in blocks]
-                assert all(0 < s <= flat.block_queries(rows) for s in sizes)
-                assert len(blocks) >= min(threads, n)
-                assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        mp.setattr(flat, "exact_candidates", spy)
+        for rows in (1, 7, 5000):
+            base = flat_build(EmbeddingSet(
+                vectors=rng.standard_normal((rows, 2)), labels=["r"] * rows))
+            for n in (0, 1, 2, 17, 200):
+                queries = rng.standard_normal((n, 2)).astype(np.float32)
+                blocks.clear()
+                assert len(flat_search(base, queries, 1)) == n
+                assert all(0 < b.shape[0] <= flat.block_queries(rows) for b in blocks)
+                got = np.concatenate(blocks) if blocks else np.empty((0, 2), np.float32)
+                assert got.tobytes() == queries.tobytes()

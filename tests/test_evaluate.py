@@ -88,6 +88,14 @@ def test_top1_identify_exact_match():
     assert top1_identify(idx, rows[2]) == "c"
 
 
+def test_top1_identify_refuses_a_batch():
+    rows = np.eye(4, dtype=np.float32)
+    idx = flat_build(EmbeddingSet(vectors=rows, labels=list("abcd"), normalized=True))
+    for probe in (rows[[2, 1]], rows[:0]):
+        with pytest.raises(DataError, match="takes a single probe"):
+            top1_identify(idx, probe)
+
+
 def test_top1_identify_threshold_rejects():
     rows = np.eye(3, dtype=np.float32)
     es = EmbeddingSet(vectors=rows, labels=list("abc"), normalized=True)

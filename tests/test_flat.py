@@ -105,18 +105,6 @@ def test_query_dim_mismatch_rejected():
         flat_search(idx, np.ones(5, dtype=np.float32), k=1)
 
 
-def test_threads_do_not_change_results():
-    es = random_set(400, 24, seed=5)
-    rng = np.random.default_rng(6)
-    q = rng.standard_normal((16, 24)).astype(np.float32)
-    idx = flat_build(es)
-    a = flat_search(idx, q, k=9, threads=1)
-    b = flat_search(idx, q, k=9, threads=4)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.ids, rb.ids)
-        assert np.array_equal(ra.dists, rb.dists)
-
-
 def _case(family, n, d, seed):
     """Base rows and queries that stress the f32 ranking of flat_search."""
     rng = np.random.default_rng(seed)

@@ -228,6 +228,26 @@ def test_fuse_dim_mismatch_rejected():
         fuse(np.float32([1.0, 2.0]), np.float32([1.0]), FusionStrategy.SUM)
 
 
+def test_fuse_refuses_non_finite_input():
+    with pytest.raises(DataError, match="^a contains NaN or infinity$"):
+        fuse([np.nan, 1.0], [1.0, 1.0], "sum")
+
+
+@pytest.mark.parametrize("strategy", ["sum", "prod"])
+def test_fuse_refuses_a_result_past_the_f32_range(strategy):
+    big = np.float32([3e38, 1.0])
+    with pytest.raises(DataError, match="^fused holds a value outside the f32 range$"):
+        fuse(big, big, strategy)
+    sets = [EmbeddingSet(vectors=np.float32([[1.0, 1.0], big]), labels=["x", "y"])] * 2
+    with pytest.raises(DataError, match="^fused row 1 holds a value outside the f32 range$"):
+        fuse_sets(*sets, strategy, normalize=False)
+
+
+def test_folder_refuses_a_value_past_the_f32_range():
+    with pytest.raises(DataError, match="^folder 'a' row 0 holds a value outside the f32 range$"):
+        IdentityFolder(identity="a", features=np.full((3, 4), 1e40))
+
+
 def test_fuse_sets_pairs_rows_and_normalizes():
     a = EmbeddingSet(
         vectors=np.float32([[1.0, 0.0], [0.0, 2.0]]),

@@ -361,21 +361,27 @@ def test_adc_table_is_the_canonical_kernel_per_subspace(case):
                 assert tables[j, : cb.k].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["ivf_flat", "ivf_pq"])
+@pytest.mark.parametrize("kind", ["flat", "ivf_flat", "ivf_pq"])
 def test_threads_do_not_change_results(kind):
+    """Searches run on the calling thread: threads=1 is the default call,
+    and any other count is refused."""
     es = random_set(1200, 32, seed=15)
     rng = np.random.default_rng(16)
     q = rng.standard_normal((64, 32)).astype(np.float32)
-    if kind == "ivf_flat":
-        idx, search = ivf_flat_build(es, nlist=16, seed=15), ivf_flat_search
+    if kind == "flat":
+        idx, search, kw = flat_build(es), flat_search, {}
+    elif kind == "ivf_flat":
+        idx, search, kw = ivf_flat_build(es, nlist=16, seed=15), ivf_flat_search, {"nprobe": 4}
     else:
-        idx, search = ivf_pq_build(es, nlist=16, m=8, seed=15), ivf_pq_search
-    a = search(idx, q, k=10, nprobe=4, threads=1)
-    b = search(idx, q, k=10, nprobe=4, threads=2)
+        idx, search, kw = ivf_pq_build(es, nlist=16, m=8, seed=15), ivf_pq_search, {"nprobe": 4}
+    a = search(idx, q, 10, **kw)
+    b = search(idx, q, 10, threads=1, **kw)
     for ra, rb in zip(a, b):
         assert ra.approximate == rb.approximate
         assert np.array_equal(ra.ids, rb.ids)
         assert ra.dists.tobytes() == rb.dists.tobytes()
+    with pytest.raises(DataError, match="threads must be 1, got 2"):
+        search(idx, q, 10, threads=2, **kw)
 
 
 def test_decode_gathers_the_sub_centroids():
@@ -393,6 +399,15 @@ def test_decode_rejects_list_id_out_of_range():
     for lid in (-1, 4):
         with pytest.raises(DataError, match=rf"list id {lid} out of range \[0, 4\)"):
             ivf_pq_decode(idx, lid, np.zeros(8, dtype=np.uint8))
+
+
+def test_decode_refuses_non_integer_input():
+    idx = ivf_pq_build(lossless_set(), nlist=4, m=8, seed=LOSSLESS_SEED)
+    codes = np.zeros(8, dtype=np.uint8)
+    with pytest.raises(DataError, match="codes must be integers, got dtype float64"):
+        ivf_pq_decode(idx, 0, codes + 0.7)
+    with pytest.raises(DataError, match="list id must be an integer, got 1.0"):
+        ivf_pq_decode(idx, 1.0, codes)
 
 
 def test_decode_rejects_wrong_code_count():

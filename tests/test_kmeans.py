@@ -91,6 +91,13 @@ def test_assign_matches_brute_force():
     assert got.counts.sum() == 1000
 
 
+def test_codebook_refuses_a_value_past_the_f32_range():
+    cents = np.zeros((2, 3))
+    cents[1, 2] = 1e300
+    with pytest.raises(DataError, match="^codebook row 1 holds a value outside the f32 range$"):
+        Codebook(k=2, dim=3, centroids=cents, inertia=0.0)
+
+
 def test_k_out_of_range_rejected():
     x = np.ones((3, 2), dtype=np.float32)
     with pytest.raises(DataError):
