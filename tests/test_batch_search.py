@@ -18,6 +18,7 @@ from oracles import (
 )
 from vse import (
     Codebook,
+    DataError,
     EmbeddingSet,
     IvfFlatIndex,
     IvfPqIndex,
@@ -189,7 +190,10 @@ def test_ivf_pq_matches_the_per_query_loop(
 
 
 @pytest.mark.parametrize("cap", CAPS)
-def test_query_blocks_cover_the_batch_in_order(cap):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_query_blocks_cover_the_batch_in_order(cap, threads):
+    """threads=1 scans the batch in order, in blocks of at most
+    block_queries(rows); any other count is refused before a block is scanned."""
     blocks = []
 
     def spy(vectors, terms, queries, qterms, k):
@@ -206,7 +210,12 @@ def test_query_blocks_cover_the_batch_in_order(cap):
             for n in (0, 1, 2, 17, 200):
                 queries = rng.standard_normal((n, 2)).astype(np.float32)
                 blocks.clear()
-                assert len(flat_search(base, queries, 1)) == n
+                if threads != 1:
+                    with pytest.raises(DataError, match=f"threads must be 1, got {threads}"):
+                        flat_search(base, queries, 1, threads=threads)
+                    assert blocks == []
+                    continue
+                assert len(flat_search(base, queries, 1, threads=threads)) == n
                 assert all(0 < b.shape[0] <= flat.block_queries(rows) for b in blocks)
                 got = np.concatenate(blocks) if blocks else np.empty((0, 2), np.float32)
                 assert got.tobytes() == queries.tobytes()
