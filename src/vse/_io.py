@@ -208,15 +208,18 @@ class Reader:
             raise self.error(f"normalized flag must be 0 or 1, got {flag}", offset=at + 12)
         return kind, dim, count, bool(flag)
 
-    def build(self, at: int, make, label_at=None, row_bytes: int = 0, **fields):
+    def build(
+        self, at: int, make, label_at=None, row_bytes: int = 0, rows_at: int | None = None,
+        **fields,
+    ):
         """make(**fields), its DataError raised again as the reader's error:
-        at label_at(i) when label i is at fault, at `at + i * row_bytes` when
-        row i is, else at `at`."""
+        at label_at(i) when label i is at fault, at `rows_at + i * row_bytes`
+        when row i is (rows_at defaults to at), else at `at`."""
         try:
             return make(**fields)
         except DataError as exc:
             if exc.label is not None:
                 at = label_at(exc.label)
             elif exc.row is not None:
-                at += row_bytes * exc.row
+                at = (at if rows_at is None else rows_at) + row_bytes * exc.row
             raise self.error(str(exc), offset=at) from None

@@ -94,6 +94,14 @@ def check_threads(threads: int) -> None:
         raise DataError(f"threads must be 1, got {threads}")
 
 
+def check_int(name: str, value) -> int:
+    """A search's k or nprobe as an int: Python and numpy integers pass;
+    a bool or any other type, such as 2.0, is refused with DataError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def exact_candidates(
     vectors: np.ndarray, terms: np.ndarray, queries: np.ndarray, qterms: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,6 +175,7 @@ def flat_search(index: FlatIndex, queries, k: int, threads: int = 1) -> list[Sea
     """
     check_threads(threads)
     q = query_matrix(queries, index.dim)
+    k = check_int("k", k)
     if not 1 <= k <= index.count:
         raise DataError(f"k must be in [1, {index.count}], got {k}")
     base, out, step = index.base.vectors, [], block_queries(index.count)

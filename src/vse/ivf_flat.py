@@ -27,7 +27,7 @@ from .core import (
     check_labels,
     top_k_smallest,
 )
-from .flat import block_queries, check_threads, exact_candidates, query_matrix
+from .flat import block_queries, check_int, check_threads, exact_candidates, query_matrix
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = ["IvfFlatIndex", "ivf_flat_build", "ivf_flat_search", "default_nprobe"]
@@ -156,11 +156,21 @@ def ivf_flat_build(base: EmbeddingSet, nlist: int, seed: int = 0, max_iters: int
 
 
 def ivf_search(
-    index, queries, k: int, nprobe: int | None, score_lists, exact: bool
+    index,
+    queries,
+    k: int,
+    nprobe: int | None,
+    score_lists,
+    exact: bool,
+    query_elems: int = 0,
+    probe_elems: int = 0,
 ) -> list[SearchResult]:
     """The query loop of both IVF kinds: probe, score the probed lists, take top-k.
 
-    The batch goes in query blocks of about _BLOCK_ELEMS scanned rows.
+    The batch goes in query blocks of about _BLOCK_ELEMS elements: each
+    query scans about ceil(count / nlist) rows per probe, and score_lists
+    may keep `probe_elems` more per probe and `query_elems` more per query
+    for the whole block.
     Each block's (query, probed list) pairs are grouped by list, so that
     `score_lists(qb, groups, found)` sees each probed list c once, as
     (c, ascending rows of qb that probe it). For each such row j it
@@ -170,14 +180,15 @@ def ivf_search(
     distances, so probing every list is exact.
     """
     q = query_matrix(queries, index.dim)
+    k = check_int("k", k)
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    if nprobe is None:
-        nprobe = default_nprobe(index.nlist)
+    nprobe = default_nprobe(index.nlist) if nprobe is None else check_int("nprobe", nprobe)
     if not 1 <= nprobe <= index.nlist:
         raise DataError(f"nprobe must be in [1, {index.nlist}], got {nprobe}")
     approximate = not (exact and nprobe == index.nlist)
-    out, step = [], block_queries(nprobe * -(-index.count // index.nlist))
+    per_probe = -(-index.count // index.nlist) + probe_elems
+    out, step = [], block_queries(nprobe * per_probe + query_elems)
     for start in range(0, q.shape[0], step):
         qb = q[start : start + step]
         groups: dict[int, list[int]] = {}

@@ -2,12 +2,22 @@
 
 Vectors are filed under a coarse quantizer as byte codes: the residual
 (vector minus its coarse centroid) is split into m slices, each quantized
-against its own sub-codebook of up to 256 centroids. A query never decodes
-candidates; per (query, probed list) pair it builds all m tables of
-slice-to-centroid distances in one pass over the stacked sub-codebooks,
-and sums m lookups per candidate with one gather. A batch is scanned list
-by list; each list's codes are kept as entries of the flattened tables,
-formed once at the first search. Distances in results are those
+against its own sub-codebook of up to 256 centroids. A row's distance to a
+query q in list c is the ADC value sum_j |s_j - r_j|^2, where s_j is the
+row's sub-centroid in subspace j and r = f32(q - c) the query's residual
+(`adc_table` gives every entry of it for one (query, list) pair).
+
+A query never builds those per-list tables. A batch is scanned list by
+list, and each list's rows are first ranked by the IVFADC decomposition
+(Jegou, Douze & Schmid, TPAMI 2011): |q - c - S|^2 = |q - c|^2 +
+(|S|^2 + 2<c, S>) - 2<q, S> for a row's decoded residual S. The middle
+term is one f64 per row, formed once per index at its first search; the
+last is gathered from one (m, 256) table of -2<q_j, s_jb> per query,
+which all of its probed lists share; the first is the same for every row
+of a list, so the ranking leaves it out. A proven bound on how far that
+estimate is from the ADC value keeps every row that can be among the
+query's k nearest in the list, and only those are scored by the ADC rule,
+so distances carry the same bits as a full scan of every table. They are
 estimates, so every result is flagged approximate.
 """
 
@@ -19,9 +29,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, SearchResult
-from .flat import check_threads, query_matrix
+from .core import DataError, EmbeddingSet, SearchResult, _squared_l2_rows
+from .flat import block_queries, check_threads, query_matrix
 from .ivf_flat import check_posting_lists, coarse_lists, ivf_search
+from .kmeans import _BLOCK_ELEMS as _CACHE_ELEMS
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = [
@@ -85,10 +96,32 @@ class IvfPqIndex:
     @cached_property
     def code_entries(self) -> tuple[np.ndarray, ...]:
         """Each list's codes as entries of a query's flattened (m, KSUB)
-        tables: code b of subspace j is entry j * KSUB + b. Computed on
-        first search."""
-        offsets = KSUB * np.arange(self.params.m)
-        return tuple(codes + offsets for codes in self.list_codes)
+        tables, one row per subspace and one column per list row: code b
+        of subspace j is entry j * KSUB + b. Computed on first search."""
+        offsets = KSUB * np.arange(self.params.m)[:, None]
+        return tuple(np.ascontiguousarray(codes.T) + offsets for codes in self.list_codes)
+
+    @cached_property
+    def code_terms(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """The query-free parts of ivf_pq_search's ranking, in f64, computed
+        on first search: each list's rows' |S|^2 + 2<c, S>, S a row's
+        decoded residual and c the list's centroid; the (2, nlist) array
+        of each list's |c| and largest row |S|; and the (m, subdim, KSUB)
+        sub-centroids transposed and scaled by -2, which turn a query's
+        slices into its tables."""
+        m, sub = self.params.m, self.subdim
+        sq = _squared_l2_rows(self.stacked_subs).ravel()  # |s_jb|^2 at entry j * KSUB + b
+        cents = self.coarse.centroids.astype(np.float64)
+        rows, norms = [], np.zeros((2, self.nlist))
+        for c, entries in enumerate(self.code_entries):
+            cross = self.stacked_subs @ cents[c].reshape(m, sub, 1)
+            rows.append((sq + 2.0 * cross.ravel())[entries].sum(axis=0))
+            if entries.size:
+                norms[1, c] = sq[entries].sum(axis=0).max()
+        norms[0] = _squared_l2_rows(cents)
+        np.sqrt(norms, out=norms)
+        weights = np.ascontiguousarray(self.stacked_subs.transpose(0, 2, 1)) * -2.0
+        return tuple(rows), norms, weights
 
     @property
     def nlist(self) -> int:
@@ -205,6 +238,29 @@ def ivf_pq_decode(index: IvfPqIndex, list_id: int, codes) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def _residuals_to(index: IvfPqIndex, queries: np.ndarray, lists: np.ndarray):
+    """(e, r) for each f64 query row against its list: e is the query minus
+    the list's centroid in f64, r is e rounded to f32 and back, the
+    residual of the ADC rule. DataError names the list of the first
+    residual that overflows f32, which a finite query's can."""
+    e = queries - index.coarse.centroids[lists].astype(np.float64)
+    with np.errstate(over="ignore"):
+        r = e.astype(np.float32)
+    finite = np.isfinite(r).all(axis=1)
+    if not finite.all():
+        bad = lists[int(np.argmin(finite))]
+        raise DataError(f"the query's residual to list {bad} overflows f32")
+    return e, r.astype(np.float64)
+
+
+def _slice_sums(cents: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The f64 sum over the last axis of (cents - r)^2, as the canonical
+    kernel sums: cents holds sub-centroids, r broadcasts against them."""
+    d = cents - r
+    np.square(d, out=d)
+    return d.sum(axis=-1)
+
+
 def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> np.ndarray:
     """All m distance tables for one (query, probed list) pair, as (m, KSUB).
 
@@ -212,32 +268,132 @@ def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> np.ndarray:
     residual against this list's centroid and sub-centroid b: the same bits
     as squared_l2_batch(subs[j].centroids, slice j), as both sum over the
     last axis of a contiguous f64 array. Entries at b >= subs[j].k are
-    padding; no valid code reaches them.
+    padding; no valid code reaches them. A row's ADC value is the sum of
+    its m entries in subspace order, over the last axis too. ivf_pq_search
+    builds no such table: it scores only the rows its ranking keeps,
+    through the same _slice_sums, so with the same bits.
     """
-    # A finite query can still overflow f32 once its centroid is taken off.
-    with np.errstate(over="ignore"):
-        r = _residuals(np.asarray(query, dtype=np.float32), index.coarse.centroids[list_id])
-    if not np.isfinite(r).all():
-        raise DataError(f"the query's residual to list {list_id} overflows f32")
-    d = index.stacked_subs - r.astype(np.float64).reshape(index.m, 1, index.subdim)
-    np.square(d, out=d)
-    return d.sum(axis=2)
+    q = np.asarray(query, dtype=np.float32).astype(np.float64).reshape(1, -1)
+    _, r = _residuals_to(index, q, np.array([list_id]))
+    return _slice_sums(index.stacked_subs, r.reshape(index.m, 1, index.subdim))
+
+
+def _twice_bounds(index: IvfPqIndex, q: np.ndarray, pair_query, pair_list, e, r) -> np.ndarray:
+    """2B for each (query, list) pair of a block: q holds the block's f32
+    queries, pair i meets query pair_query[i] and list pair_list[i], and
+    (e, r) are its residuals from _residuals_to.
+
+    Row S (its decoded residual) of list c is ranked for query q by
+    F = (|S|^2 + 2<c, S>) - 2<q, S>, in f64: term 2 from code_terms, term 3
+    gathered from the query's tables. Let e = q - c, and r = f32(fl(e)) the
+    residual of the ADC rule; u = 2^-53. The ADC value's real A* = |S - r|^2
+    and E* = |S - e|^2 = |e|^2 + F*, F* the real F. With s >= |e| + |S| >=
+    sqrt(E*) and delta >= |r - e|:
+    - |A* - E*| <= delta (2 sqrt(E*) + delta) <= delta (2s + delta), as
+      |S - r| and |S - e| differ by at most |r - e|. delta is |r - fl(e)|
+      plus 2u |fl(e)| for fl(e), which is within u |e| of e.
+    - The ADC rule sums nonnegative terms: subdim squares of differences
+      per subspace, then m subspaces. Its f64 value is within
+      (subdim + m + 4) u A* of A*, and A* <= (s + delta)^2.
+    - F sums f64 dot products of length subdim and squared norms over m
+      subspaces, so for any order of summation it is within
+      (subdim + m + 2) u M of F*, M = |S|^2 + 2 |S| (|c| + |q|) >= |F*|
+      (Cauchy-Schwarz); subdim + m <= d + 1, and (d + 16) u M also covers
+      the rounding of t + 2B below. It scales with |c| and |q|, so it
+      covers the cancellation of the two dot products when q and c are
+      large and close together.
+    |S| is at most the list's largest row |S|, so B is one value per
+    (query, list), and the ADC value minus |e|^2, the same for every row of
+    the list, is within B of F. Each input to B is within (d + 5) u of its
+    value and B has degree 2 in them, so scaling it by 1 + 4 (d + 16) u
+    covers them and its own rounding. At least k rows have an ADC value
+    minus |e|^2 of at most t + B, t the k-th smallest F of the list, so
+    each row of the query's k nearest in the list by (ADC value, id) has
+    F <= t + 2B. All of it is finite for f32 inputs.
+    """
+    _, (cnorms, smax), _ = index.code_terms
+    d, u = index.dim, 2.0**-53
+    en = np.sqrt(_squared_l2_rows(e))
+    delta = np.sqrt(_squared_l2_rows(r, e)) + 2 * u * en
+    big = smax[pair_list]
+    s = en + big
+    qn = np.sqrt(_squared_l2_rows(q))[pair_query]
+    bound = (d + 16) * u * big * (big + 2 * (cnorms[pair_list] + qn))
+    bound += (index.subdim + index.m + 4) * u * (s + delta) ** 2 + delta * (2 * s + delta)
+    return bound * (2 + 8 * (d + 16) * u)
 
 
 def ivf_pq_search(
     index: IvfPqIndex, queries, k: int, nprobe: int | None = None, threads: int = 1
 ) -> list[SearchResult]:
-    """Rank candidates in the nprobe nearest lists by summed table lookups.
+    """Rank candidates in the nprobe nearest lists by their ADC values.
 
     `threads` takes only 1; see flat.check_threads.
     """
     check_threads(threads)
+    m, sub, dim = index.m, index.subdim, index.dim
+    flat_subs = index.stacked_subs.reshape(m * KSUB, sub)
+    # Kept rows wait to be scored together, at most about kmeans._BLOCK_ELEMS
+    # values at a time, which stay in cache.
+    most = max(1, _CACHE_ELEMS // dim)
 
     def score_lists(qb: np.ndarray, groups, found: list[list]) -> None:
+        row_terms, _, weights = index.code_terms
+        groups = list(groups)
+        # The block's (query, list) pairs, list by list.
+        pair_query = [j for _, who in groups for j in who]
+        pair_list = np.repeat([c for c, _ in groups], [len(who) for _, who in groups])
+        q64 = qb.astype(np.float64)
+        e, r = _residuals_to(index, q64[pair_query], pair_list)
+        twice_b = _twice_bounds(index, qb, pair_query, pair_list, e, r)
+        r = r.reshape(-1, m, sub)
+        # -2<q_j, s_jb> at entry j * KSUB + b of row i for query i: the
+        # tables every list the query probes shares.
+        tables = np.empty((qb.shape[0], m * KSUB))
+        np.matmul(q64.reshape(-1, m, 1, sub), weights, out=tables.reshape(-1, m, 1, KSUB))
+        kept, waiting, done = [], 0, 0  # (pairs, entries, ids) of rows to score
+
+        def hand_out(upto: int) -> None:
+            """Score the kept rows of pairs done..upto-1 by the ADC rule and
+            hand them to their queries."""
+            nonlocal waiting, done
+            pairs = np.concatenate([p for p, _, _ in kept])
+            cents = flat_subs[np.concatenate([codes for _, codes, _ in kept], axis=1).T]
+            ids = np.concatenate([i for _, _, i in kept])
+            dists, end = _slice_sums(cents, r[pairs]).sum(axis=1), 0
+            counts = np.bincount(pairs - done, minlength=upto - done).tolist()
+            for p, count in enumerate(counts, done):
+                found[pair_query[p]].append((ids[end : end + count], dists[end : end + count]))
+                end += count
+            kept.clear()
+            waiting, done = 0, upto
+
+        at = 0
         for c, who in groups:
             ids, entries = index.list_ids[c], index.code_entries[c]
-            for j in who:
-                tables = adc_table(index, qb[j], c)
-                found[j].append((ids, tables.ravel()[entries].sum(axis=1)))
+            n = ids.size
+            step = block_queries(n * dim)
+            for start in range(0, len(who), step):
+                sel, first = who[start : start + step], at + start
+                if n <= k:
+                    keep = np.ones((len(sel), n), dtype=bool)
+                else:
+                    # A group of every query of the block takes the tables as they are.
+                    est = np.take(tables if len(sel) == len(qb) else tables[sel], entries, axis=1)
+                    est = est.sum(axis=1)
+                    est += row_terms[c]
+                    limit = np.partition(est, k - 1, axis=1)[:, k - 1]
+                    limit += twice_b[first : first + len(sel)]
+                    keep = est <= limit[:, None]
+                pairs, rows = np.nonzero(keep)
+                if kept and waiting + rows.size > most:
+                    hand_out(first)
+                kept.append((pairs + first, entries[:, rows], ids[rows]))
+                waiting += rows.size
+            at += len(who)
+        hand_out(at)
 
-    return ivf_search(index, queries, k, nprobe, score_lists, exact=False)
+    return ivf_search(
+        index, queries, k, nprobe, score_lists, exact=False,
+        query_elems=m * KSUB, probe_elems=dim,
+    )

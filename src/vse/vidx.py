@@ -192,13 +192,18 @@ class _Writer(Writer):
 
 def _codebook(r: Reader, what: str, dim: int, max_k: int | None = None) -> Codebook:
     """The next codebook, which must have `dim` and at most `max_k` entries;
-    a k past max_k is reported at the codebook, a wrong dim at its end."""
+    a k past max_k or a bad inertia is reported at the codebook, a centroid
+    row that is not finite at the row, a wrong dim at the codebook's end."""
     at = r.pos
     k, got, inertia = r.unpack("<IId", f"{what} k, dim and inertia")
     if max_k is not None and k > max_k:
         raise VidxFormatError(f"{what} has k={k} > {max_k}", offset=at)
+    rows_at = r.pos
     cents = r.array(k * got, "<f4", f"{what} centroids").reshape(k, got)
-    cb = r.build(at, Codebook, k=k, dim=got, centroids=cents, inertia=inertia)
+    cb = r.build(
+        at, Codebook, row_bytes=4 * got, rows_at=rows_at,
+        k=k, dim=got, centroids=cents, inertia=inertia,
+    )
     if got != dim:
         raise VidxFormatError(f"{what} dim {got} does not match {dim}", offset=r.pos)
     return cb

@@ -219,3 +219,36 @@ def test_query_blocks_cover_the_batch_in_order(cap, threads):
                 assert all(0 < b.shape[0] <= flat.block_queries(rows) for b in blocks)
                 got = np.concatenate(blocks) if blocks else np.empty((0, 2), np.float32)
                 assert got.tobytes() == queries.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf_flat", "ivf_pq"])
+def test_k_and_nprobe_must_be_integers(kind):
+    """k and nprobe that are bools or not integers are refused with
+    DataError; numpy integers are taken as their value."""
+    rng = np.random.default_rng(4)
+    count, dim = 300, 4
+    rows = rng.standard_normal((count, dim)).astype(np.float32)
+    owner = np.arange(count) % 3
+    if kind == "flat":
+        index = flat_build(EmbeddingSet(vectors=rows, labels=[f"r{i}" for i in range(count)]))
+        search, probes = (lambda q, k, **kw: flat_search(index, q, k)), {}
+    elif kind == "ivf_flat":
+        index = ivf_flat_index(rows, owner, rows[:3])
+        search, probes = (lambda q, k, **kw: ivf_flat_search(index, q, k, **kw)), {"nprobe": 2}
+    else:
+        index = ivf_pq_index(rng, owner, 3, 2, 2, small_k=False)
+        search, probes = (lambda q, k, **kw: ivf_pq_search(index, q, k, **kw)), {"nprobe": 2}
+    q = rows[:5]
+    want = search(q, 3, **probes)
+    for k in (np.int64(3), np.uint8(3), np.int32(3)):
+        got = search(q, k, **probes)
+        assert [r.ids.tolist() for r in got] == [r.ids.tolist() for r in want]
+    for bad in (2.5, 3.0, True, np.True_, "3", None):
+        with pytest.raises(DataError, match=rf"^k must be an integer, got {bad!r}$"):
+            search(q, bad, **probes)
+    if probes:
+        got = search(q, 3, nprobe=np.int64(2))
+        assert [r.ids.tolist() for r in got] == [r.ids.tolist() for r in want]
+        for bad in (2.5, 2.0, True, False):
+            with pytest.raises(DataError, match=rf"^nprobe must be an integer, got {bad!r}$"):
+                search(q, 3, nprobe=bad)

@@ -352,3 +352,44 @@ def test_ksub_other_than_256_is_refused_at_its_field(tmp_path):
     with pytest.raises(VidxFormatError, match="ksub") as e:
         load_index(path)
     assert e.value.offset == params_at + 4
+
+
+def _flat_codebook_file(tmp_path):
+    """A 40x4 ivf_flat index (nlist 4), its file body (no CRC) and where
+    its coarse codebook starts."""
+    idx = ivf_flat_build(random_set(40, 4, seed=21), nlist=4, seed=21)
+    path = str(tmp_path / "c.vidx")
+    save_index(idx, path)
+    body = open(path, "rb").read()[:-8]
+    at = 22 + 8 + struct.unpack_from("<Q", body, 22)[0]
+    assert struct.unpack_from("<II", body, at) == (4, 4)
+    return path, body, at
+
+
+def test_non_finite_coarse_row_is_reported_at_the_row(tmp_path):
+    path, body, at = _flat_codebook_file(tmp_path)
+    row2 = at + 16 + 2 * 4 * 4
+    _rewrite(path, body[:row2] + struct.pack("<f", np.nan) + body[row2 + 4 :])
+    with pytest.raises(VidxFormatError, match="codebook row 2 contains NaN") as e:
+        load_index(path)
+    assert e.value.offset == row2
+
+
+def test_non_finite_sub_codebook_row_is_reported_at_the_row(tmp_path):
+    idx, path, body, params_at, _ = _pq_file(tmp_path)
+    first = idx.subs[0]
+    sub1 = params_at + 8 + 16 + 4 * first.k * first.dim
+    assert struct.unpack_from("<II", body, sub1) == (idx.subs[1].k, idx.subdim)
+    row3 = sub1 + 16 + 3 * 4 * idx.subdim
+    _rewrite(path, body[: row3 + 4] + struct.pack("<f", np.inf) + body[row3 + 8 :])
+    with pytest.raises(VidxFormatError, match="codebook row 3 contains NaN or infinity") as e:
+        load_index(path)
+    assert e.value.offset == row3
+
+
+def test_bad_codebook_inertia_is_reported_at_the_codebook(tmp_path):
+    path, body, at = _flat_codebook_file(tmp_path)
+    _rewrite(path, body[: at + 8] + struct.pack("<d", -1.0) + body[at + 16 :])
+    with pytest.raises(VidxFormatError, match="inertia must be finite") as e:
+        load_index(path)
+    assert e.value.offset == at
