@@ -137,8 +137,6 @@ def cmd_search(args) -> int:
     index = load_index(args.index)
     if args.nprobe is not None and "nprobe" not in _KIND_PARAMS[index.kind]:
         raise UsageError(f"{index.kind} takes no --nprobe")
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     queries = read_embeddings(args.queries, labels_path=args.query_labels)
     results = search_any(index, queries, k=args.k, nprobe=args.nprobe)
     labels = index.labels

@@ -1,4 +1,7 @@
-"""Core vector types, the row check and the canonical distance kernel.
+"""Core vector types, the row and integer checks and the distance kernel.
+
+Every public integer (a k, nprobe, nlist, m, seed, size or list id) goes
+through `check_int`, which refuses a bool, a float or a value out of range.
 
 Every distance and squared norm this package reports comes from one
 function, `_squared_l2_rows`: cast the f32 operands to f64, subtract,
@@ -42,6 +45,20 @@ class DataError(ValueError):
         super().__init__(message)
         self.row = row
         self.label = label
+
+
+def check_int(name: str, value, low: int = 0, stop: int | None = None) -> int:
+    """`value` as an int in [low, stop), with no upper end when stop is None.
+
+    Python and numpy integers pass; a bool or any other type, such as 2.0,
+    is refused with DataError, as is a value out of range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (stop is not None and value >= stop):
+        raise DataError(f"{name} {value} out of range [{low}, {'inf' if stop is None else stop})")
+    return value
 
 
 def _to_f32(convert, data, **kwargs) -> np.ndarray:
@@ -274,8 +291,9 @@ def top_k_smallest(dists: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarr
 
     Ids break distance ties, so results are reproducible across runs and
     across candidate orderings. Uses a partition plus an exact boundary-tie
-    fixup rather than a full sort.
+    fixup rather than a full sort. k must be at least 1.
     """
+    k = check_int("k", k, 1)
     n = dists.shape[0]
     if k >= n:
         order = np.lexsort((ids, dists))

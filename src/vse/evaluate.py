@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, SearchResult, as_rows
+from .core import DataError, EmbeddingSet, SearchResult, as_rows, check_int
 from .flat import FlatIndex, flat_build, flat_search
 from .ivf_flat import IvfFlatIndex, default_nprobe, ivf_flat_build, ivf_flat_search
 from .ivf_pq import IvfPqIndex, ivf_pq_build, ivf_pq_search
@@ -50,15 +50,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_identities < 1:
-            raise DataError(f"n_identities must be >= 1, got {self.n_identities}")
+        for name, low in (("n_identities", 1), ("probes_per_identity", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if not 0.0 <= self.in_gallery_fraction <= 1.0:
             raise DataError(
                 f"in_gallery_fraction must be in [0, 1], got {self.in_gallery_fraction}"
-            )
-        if self.probes_per_identity < 1:
-            raise DataError(
-                f"probes_per_identity must be >= 1, got {self.probes_per_identity}"
             )
 
 
@@ -212,12 +208,11 @@ class StrategyConfig:
 
     def __post_init__(self) -> None:
         _check_params(self.kind, self)
-        if self.nlist is not None and self.nlist < 1:
-            raise DataError(f"{self.kind} needs nlist >= 1")
-        if self.m is not None and self.m < 1:
-            raise DataError(f"{self.kind} needs m >= 1")
-        if self.nprobe is not None and not 1 <= self.nprobe <= self.nlist:
-            raise DataError(f"nprobe must be in [1, {self.nlist}], got {self.nprobe}")
+        for name, low in (("nlist", 1), ("m", 1), ("nprobe", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None:  # a kind's nprobe comes with its nlist
+                stop = self.nlist + 1 if name == "nprobe" else None
+                object.__setattr__(self, name, check_int(name, value, low, stop))
 
 
 @dataclass(frozen=True)
@@ -324,9 +319,10 @@ def synthetic_gallery(
     seed: int = 0,
 ) -> EmbeddingSet:
     """Identity centers uniform on the unit sphere plus Gaussian noise."""
-    if n_identities < 1 or per_identity < 1 or dim < 1:
-        raise DataError("n_identities, per_identity, and dim must be >= 1")
-    rng = np.random.default_rng(seed)
+    n_identities = check_int("n_identities", n_identities, 1)
+    per_identity = check_int("per_identity", per_identity, 1)
+    dim = check_int("dim", dim, 1)
+    rng = np.random.default_rng(check_int("seed", seed))
     centers = rng.standard_normal((n_identities, dim))
     centers /= np.sqrt((centers**2).sum(axis=1))[:, None]
     vectors = np.repeat(centers, per_identity, axis=0) + sigma * rng.standard_normal(

@@ -25,6 +25,7 @@ from .core import (
     _bound_terms,
     _squared_l2_rows,
     as_rows,
+    check_int,
     top_k_smallest,
 )
 
@@ -92,14 +93,6 @@ def check_threads(threads: int) -> None:
     value is refused."""
     if threads != 1:
         raise DataError(f"threads must be 1, got {threads}")
-
-
-def check_int(name: str, value) -> int:
-    """A search's k or nprobe as an int: Python and numpy integers pass;
-    a bool or any other type, such as 2.0, is refused with DataError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def exact_candidates(
@@ -170,14 +163,12 @@ def exact_candidates(
 def flat_search(index: FlatIndex, queries, k: int, threads: int = 1) -> list[SearchResult]:
     """Exactly the k nearest base vectors per query, ties by ascending id.
 
-    The batch is scanned in query blocks of at most _BLOCK_ELEMS (row,
-    query) pairs. `threads` takes only 1; see check_threads.
+    k is in [1, count]. The batch is scanned in query blocks of at most
+    _BLOCK_ELEMS (row, query) pairs. `threads` takes only 1; see check_threads.
     """
     check_threads(threads)
     q = query_matrix(queries, index.dim)
-    k = check_int("k", k)
-    if not 1 <= k <= index.count:
-        raise DataError(f"k must be in [1, {index.count}], got {k}")
+    k = check_int("k", k, 1, index.count + 1)
     base, out, step = index.base.vectors, [], block_queries(index.count)
     for block in range(0, q.shape[0], step):
         qb = q[block : block + step]

@@ -29,6 +29,7 @@ from .core import (
     _check_finite,
     _squared_l2_rows,
     _to_f32,
+    check_int,
     normalize_rows,
 )
 from .kmeans import kmeans_stack
@@ -119,7 +120,9 @@ def _clean_stack(identities: list[str], x: np.ndarray, seed: int):
     """Clean F folders of one size n in lockstep; x is their (F, n, d) rows.
 
     Returns one CleanReport per folder and the (F, n) mask of removed rows.
+    The seed is checked even when n < 3 keeps k-means from using it.
     """
+    check_int("seed", seed)
     f, n, _ = x.shape
     if n < 3:
         centers = (x.astype(np.float64).sum(axis=1) / n).astype(np.float32)

@@ -24,17 +24,18 @@ from .core import (
     SearchResult,
     _bound_terms,
     _to_f32,
+    check_int,
     check_labels,
     top_k_smallest,
 )
-from .flat import block_queries, check_int, check_threads, exact_candidates, query_matrix
+from .flat import block_queries, check_threads, exact_candidates, query_matrix
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = ["IvfFlatIndex", "ivf_flat_build", "ivf_flat_search", "default_nprobe"]
 
 
 def default_nprobe(nlist: int) -> int:
-    return max(1, nlist // 32)
+    return max(1, check_int("nlist", nlist, 1) // 32)
 
 
 def probe_order(coarse: Codebook, query: np.ndarray, nprobe: int) -> np.ndarray:
@@ -52,11 +53,7 @@ def coarse_lists(vectors: np.ndarray, nlist: int, seed: int, max_iters: int):
     Returns the codebook, every row's list, and each list's ascending row
     ids (an empty list is an empty array).
     """
-    count = vectors.shape[0]
-    if nlist < 1:
-        raise DataError(f"nlist must be >= 1, got {nlist}")
-    if nlist > count:
-        raise DataError(f"nlist {nlist} exceeds base size {count}")
+    nlist = check_int("nlist", nlist, 1, vectors.shape[0] + 1)
     coarse = kmeans_train(vectors, nlist, max_iters=max_iters, seed=seed)
     labels = assign(vectors, coarse).labels
     # A stable sort keeps the ids ascending within each list.
@@ -180,12 +177,9 @@ def ivf_search(
     distances, so probing every list is exact.
     """
     q = query_matrix(queries, index.dim)
-    k = check_int("k", k)
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    nprobe = default_nprobe(index.nlist) if nprobe is None else check_int("nprobe", nprobe)
-    if not 1 <= nprobe <= index.nlist:
-        raise DataError(f"nprobe must be in [1, {index.nlist}], got {nprobe}")
+    k = check_int("k", k, 1)
+    nprobe = default_nprobe(index.nlist) if nprobe is None else nprobe
+    nprobe = check_int("nprobe", nprobe, 1, index.nlist + 1)
     approximate = not (exact and nprobe == index.nlist)
     per_probe = -(-index.count // index.nlist) + probe_elems
     out, step = [], block_queries(nprobe * per_probe + query_elems)

@@ -29,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import DataError, EmbeddingSet, SearchResult, _squared_l2_rows
+from .core import DataError, EmbeddingSet, SearchResult, _squared_l2_rows, check_int
 from .flat import block_queries, check_threads, query_matrix
 from .ivf_flat import check_posting_lists, coarse_lists, ivf_search
 from .kmeans import _BLOCK_ELEMS as _CACHE_ELEMS
@@ -50,14 +50,20 @@ KSUB = 256  # byte codes: one u8 per subspace per vector
 
 @dataclass(frozen=True)
 class PqParams:
-    """Product-quantizer shape: m subspaces, each with a sub-codebook of at
-    most KSUB entries."""
+    """Product-quantizer shape: m >= 1 subspaces, each with a sub-codebook
+    of at most KSUB entries; m must divide the dim (_subdim)."""
 
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DataError(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", check_int("m", self.m, 1))
+
+
+def _subdim(dim: int, m: int) -> int:
+    """The width of each of m subspaces of dim; DataError unless m divides dim."""
+    if dim % m != 0:
+        raise DataError(f"dim {dim} not divisible by m={m}")
+    return dim // m
 
 
 @dataclass(frozen=True)
@@ -76,11 +82,9 @@ class IvfPqIndex:
 
     def __post_init__(self) -> None:
         m = self.params.m
-        if self.coarse.dim % m != 0:
-            raise DataError(f"dim {self.coarse.dim} not divisible by m={m}")
+        sub = _subdim(self.coarse.dim, m)
         if len(self.subs) != m:
             raise DataError(f"expected {m} sub-codebooks, got {len(self.subs)}")
-        sub = self.coarse.dim // m
         for j, cb in enumerate(self.subs):
             if cb.dim != sub:
                 raise DataError(f"sub-codebook {j} dim {cb.dim}, expected {sub}")
@@ -150,9 +154,8 @@ def _train_parts(base: EmbeddingSet, nlist: int, m: int, seed: int, max_iters: i
             f"need at least {KSUB} vectors to train sub-codebooks, got {base.count}"
         )
     params = PqParams(m=m)
-    if base.dim % m != 0:
-        raise DataError(f"dim {base.dim} not divisible by m={m}")
-    sub = base.dim // m
+    m, sub = params.m, _subdim(base.dim, params.m)
+    seed = check_int("seed", seed)  # an int, for the sub-codebook seeds below
     coarse, coarse_labels, list_ids = coarse_lists(base.vectors, nlist, seed, max_iters)
     residuals = _residuals(base.vectors, coarse.centroids.astype(np.float64)[coarse_labels])
     subs: list[Codebook] = []
@@ -219,10 +222,7 @@ def ivf_pq_encode(index: IvfPqIndex, x) -> tuple[int, np.ndarray]:
 
 def ivf_pq_decode(index: IvfPqIndex, list_id: int, codes) -> np.ndarray:
     """Reconstruct coarse centroid + concatenated sub-centroids."""
-    if not isinstance(list_id, (int, np.integer)):
-        raise DataError(f"list id must be an integer, got {list_id!r}")
-    if not 0 <= list_id < index.nlist:
-        raise DataError(f"list id {list_id} out of range [0, {index.nlist})")
+    list_id = check_int("list id", list_id, 0, index.nlist)
     c = np.asarray(codes)
     if c.shape != (index.m,):
         raise DataError(f"expected {index.m} codes, got shape {c.shape}")

@@ -42,6 +42,7 @@ from .core import (
     _squared_l2_rows,
     _to_f32,
     as_rows,
+    check_int,
     squared_l2_batch,
 )
 
@@ -61,8 +62,10 @@ class Codebook:
     inertia: float
 
     def __post_init__(self) -> None:
+        for name in ("k", "dim"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         c = _to_f32(np.ascontiguousarray, self.centroids)
-        if self.k < 1 or c.shape != (self.k, self.dim):
+        if c.shape != (self.k, self.dim):
             raise DataError(
                 f"centroid block {c.shape} does not match k={self.k}, dim={self.dim}"
             )
@@ -239,13 +242,9 @@ def _lloyd(x: np.ndarray, k: int, max_iters: int, seed: int) -> tuple[np.ndarray
     trained on, (n,) or (F, n).
     """
     n = x.shape[-2]
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    if n < k:
-        raise DataError(f"cannot place {k} centroids over {n} points")
-    if max_iters < 0:
-        raise DataError(f"max_iters must be >= 0, got {max_iters}")
-    rng = np.random.default_rng(seed)
+    k = check_int("k", k, 1, n + 1)
+    max_iters = check_int("max_iters", max_iters)
+    rng = np.random.default_rng(check_int("seed", seed))
     centroids = x[..., rng.choice(n, size=k, replace=False), :]
     labels = _assign_labels(x, centroids)
     centroids = _repair_empty(x, labels, centroids)

@@ -39,7 +39,7 @@ from ._io import FormatError, Reader, Writer, atomic_write_bytes, encode_labels,
 from .core import DataError, EmbeddingSet
 from .flat import FlatIndex
 from .ivf_flat import IvfFlatIndex
-from .ivf_pq import KSUB, IvfPqIndex, PqParams
+from .ivf_pq import KSUB, IvfPqIndex, PqParams, _subdim
 from .kmeans import Codebook
 
 __all__ = ["VidxFormatError", "save_index", "load_index", "crc64"]
@@ -192,8 +192,9 @@ class _Writer(Writer):
 
 def _codebook(r: Reader, what: str, dim: int, max_k: int | None = None) -> Codebook:
     """The next codebook, which must have `dim` and at most `max_k` entries;
-    a k past max_k or a bad inertia is reported at the codebook, a centroid
-    row that is not finite at the row, a wrong dim at the codebook's end."""
+    a k past max_k, a k or dim of 0 or a bad inertia is reported at the
+    codebook, a centroid row that is not finite at the row, another wrong
+    dim at the codebook's end."""
     at = r.pos
     k, got, inertia = r.unpack("<IId", f"{what} k, dim and inertia")
     if max_k is not None and k > max_k:
@@ -276,9 +277,8 @@ def load_index(path: str):
         params = r.build(params_at, PqParams, m=m)
         if ksub != KSUB:
             raise VidxFormatError(f"ksub is fixed at {KSUB}, got {ksub}", offset=params_at + 4)
-        if dim % m != 0:
-            raise VidxFormatError(f"dim {dim} not divisible by m={m}", offset=params_at)
-        subs = tuple(_codebook(r, f"sub-codebook {j}", dim // m, KSUB) for j in range(m))
+        sub = r.build(params_at, _subdim, dim=dim, m=m)
+        subs = tuple(_codebook(r, f"sub-codebook {j}", sub, KSUB) for j in range(m))
         width, dtype, what = m, "u1", "codes"
     else:
         width, dtype, what = dim, "<f4", "vectors"

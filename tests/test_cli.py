@@ -452,3 +452,34 @@ def test_ingest_label_file_count_mismatch_names_its_byte_offset(tmp_path, capsys
     names.write_bytes(b"a\r\nb")
     assert run(["ingest", "--input", str(csv), "--labels", str(names), "--out", str(out)]) == 0
     assert read_embeddings(str(out)).labels == ["a", "b"]
+
+
+@pytest.mark.parametrize("command", ["build", "clean", "bench", "eval"])
+def test_negative_seed_exits_two(tmp_path, capsys, command):
+    # build, clean and bench used to exit 3 on numpy's ValueError, and eval
+    # of a flat index, which trains nothing, exited 0.
+    gallery = tmp_path / "g.fvb"
+    write_set(gallery, n=40, d=8, labels=[f"id{i // 4}" for i in range(40)])
+    argv = {
+        "build": ["build", "--input", str(gallery), "--kind", "ivf_flat", "--nlist", "4",
+                  "--out", str(tmp_path / "x.vidx")],
+        "clean": ["clean", "--input", str(gallery), "--out", str(tmp_path / "c.fvb")],
+        "bench": ["bench", "--identities", "20", "--per-identity", "4", "--dim", "8",
+                  "--probes-per-identity", "1"],
+        "eval": ["eval", "--gallery", str(gallery), "--probes", str(gallery), "--kind", "flat",
+                 "--tsv", str(tmp_path / "r.tsv")],
+    }[command]
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert "seed -1 out of range [0, inf)" in capsys.readouterr().err
+
+
+def test_search_k_zero_exits_two(tmp_path, capsys):
+    base = tmp_path / "base.fvb"
+    write_set(base)
+    idx = tmp_path / "b.vidx"
+    assert run(["build", "--input", str(base), "--kind", "flat", "--seed", "0",
+                "--out", str(idx)]) == 0
+    queries = tmp_path / "q.fvb"
+    write_set(queries, n=2)
+    assert run(["search", "--index", str(idx), "--queries", str(queries), "--k", "0"]) == 2
+    assert "k 0 out of range [1, 65)" in capsys.readouterr().err

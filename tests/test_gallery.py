@@ -386,8 +386,8 @@ def test_even_split_tie_goes_to_cluster_zero(n):
 
 def test_known_miss_mislabeled_row_in_the_main_cluster_is_kept():
     # Pins a known miss of today's rule (the FOUND line on kept mislabeled
-    # rows in CHANGES.md, ROADMAP item 8): ten rows of one identity at
-    # sigma 0.05 on the unit sphere, plus one row of another identity.
+    # rows in CHANGES.md): ten rows of one identity at sigma 0.05 on the
+    # unit sphere, plus one row of another identity.
     # The k=2 split cuts the identity in two and the intruder joins the
     # larger half, about 1.10 from its center, while the threshold, twice
     # the members' mean distance, is about 1.19. A later opt-in rule
