@@ -62,7 +62,7 @@ from .ivf_pq import (
 from .kmeans import Assignment, Codebook, assign, kmeans_train
 from .vidx import VidxFormatError, load_index, save_index
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 __all__ = [
     "__version__",

@@ -216,7 +216,7 @@ def _row_squared_norms(arr: np.ndarray) -> np.ndarray:
 
 
 def _bound_terms(arr: np.ndarray) -> np.ndarray:
-    """Read-only (3, n) f64 terms of flat.exact_candidates' error bound, one
+    """Read-only (3, n) f64 terms of flat.select_rows' error bound, one
     column per row of arr (stored rows and queries alike): the row's
     squared norm s from the canonical kernel, sqrt(2 g s) with
     g = d 2^-24 / (1 - d 2^-24), and (3d + 16) 2^-53 s + 4 d 2^-126.

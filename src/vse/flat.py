@@ -89,25 +89,22 @@ def block_queries(rows: int) -> int:
 
 def check_threads(threads: int) -> None:
     """The three searches keep `threads` only while the benchmark passes
-    threads=1; every search runs on the calling thread, so any other
-    value is refused."""
-    if threads != 1:
-        raise DataError(f"threads must be 1, got {threads}")
+    threads=1; every search runs on the calling thread, so any value that
+    is not an integer equal to 1, a bool or 1.0 among them, is refused."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads != 1:
+        raise DataError(f"threads must be 1, got {threads!r}")
 
 
-def exact_candidates(
-    vectors: np.ndarray, terms: np.ndarray, queries: np.ndarray, qterms: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each query of a block, the rows of `vectors` that can be among
-    its k nearest.
+def select_rows(dots, terms: np.ndarray, qterms: np.ndarray, k: int):
+    """For each of b queries, the rows among n that can be among its k nearest.
 
-    `terms` and `qterms` are _bound_terms of vectors and queries. Returns
-    (counts, rows, dists): the first counts[0] rows are query 0's, the next
-    counts[1] query 1's, and so on, each ascending, with their
-    canonical-kernel distances in dists; every row of a query's true top k
-    by (distance, row) is among its rows.
+    `dots` holds the (b, n) f32 query-row dot products, unread (may be None)
+    when k >= n; `terms` and `qterms` are _bound_terms of rows and queries.
+    Returns (counts, rows, pairs): query 0's counts[0] rows, then query 1's
+    counts[1], and so on, each ascending, and each row's query (None when b
+    is 1). Every row of a query's true top k by (distance, row) is kept.
     """
-    n, b = vectors.shape[0], queries.shape[0]
+    b, n = qterms.shape[1], terms.shape[1]
     if k >= n:
         keep = np.ones((b, n), dtype=bool)
     else:
@@ -117,8 +114,9 @@ def exact_candidates(
         # by term:
         # - f32 dot: |dot - x_i.q_j| <= g ||x_i|| ||q_j||, g = d u / (1 - d u),
         #   u = 2^-24, for any summation order, with or without FMA, so for
-        #   any BLAS kernel, block shape and thread split. approx doubles it:
-        #   2 g ||x_i|| ||q_j||, formed as sqrt(2 g n_i) sqrt(2 g n_j).
+        #   any BLAS kernel, GEMM or GEMV, block shape and thread split.
+        #   approx doubles it: 2 g ||x_i|| ||q_j||, formed as
+        #   sqrt(2 g n_i) sqrt(2 g n_j).
         # - f32 underflow: each of the d products and d - 1 sums loses at
         #   most 2^-126 more when its result is tiny, even where subnormal
         #   results flush to zero; carried through the later sums (a factor
@@ -129,12 +127,13 @@ def exact_candidates(
         #   times the distance, which is at most 2 (n_i + n_j). That sums to
         #   (3d + 7) v (n_i + n_j); 3d + 16 also covers the roundings of the
         #   terms, of B from them and of approx +- B.
-        # At least k rows have C <= approx + B <= t, the k-th smallest upper
-        # end for query j, so every row of its true top k has approx - B <= t
-        # and is kept. A row whose upper end is not finite (f32 overflow in
-        # the dot) has no bound and is always kept.
-        with np.errstate(over="ignore", invalid="ignore"):
-            approx = np.multiply(queries @ vectors.T, -2.0, dtype=np.float64)
+        # B depends only on x_i and q_j, not on the other rows or where x_i
+        # is stored, so the n rows may come from any number of lists. At
+        # least k rows have C <= approx + B <= t, the k-th smallest upper end
+        # for query j, so every row of its true top k has approx - B <= t and
+        # is kept. A row whose upper end is not finite (f32 overflow in the
+        # dot) has no bound and is always kept.
+        approx = np.multiply(dots, -2.0, dtype=np.float64)
         approx += terms[0]
         approx += qterms[0][:, None]
         bound = np.multiply.outer(qterms[1], terms[1])
@@ -153,10 +152,20 @@ def exact_candidates(
     kept = np.flatnonzero(keep)
     if b == 1:
         # One query meets each kept row as it is.
-        rows, pairs, counts = kept, None, [kept.size]
-    else:
-        pairs, rows = np.divmod(kept, n)
-        counts = np.bincount(pairs, minlength=b).tolist()
+        return [kept.size], kept, None
+    pairs, rows = np.divmod(kept, n)
+    return np.bincount(pairs, minlength=b).tolist(), rows, pairs
+
+
+def exact_candidates(
+    vectors: np.ndarray, terms: np.ndarray, queries: np.ndarray, qterms: np.ndarray, k: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """select_rows' (counts, rows) for a block of queries, its dots from one
+    f32 matrix product, and the rows' canonical distances to their queries.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = queries @ vectors.T if k < vectors.shape[0] else None
+    counts, rows, pairs = select_rows(dots, terms, qterms, k)
     return counts, rows, _squared_l2_rows(vectors[rows], queries, pairs=pairs)
 
 

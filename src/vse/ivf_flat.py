@@ -7,13 +7,16 @@ stored vectors. A batch is scanned list by list: each probed list is
 scanned once for every query of a block that probes it, as flat search
 scans its base, with one f32 matrix product for those queries and a proven
 bound that picks the rows that can be among each query's k nearest; only
-those are scored by the canonical kernel. Probing every list reproduces
-the flat index bit for bit.
+those are scored by the canonical kernel. A block of one query ranks the
+union of its probed lists as one block of rows instead: one f32
+matrix-vector product per list into one score buffer, then one pass of
+the same bound. Probing every list reproduces the flat index bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -23,12 +26,13 @@ from .core import (
     EmbeddingSet,
     SearchResult,
     _bound_terms,
+    _squared_l2_rows,
     _to_f32,
     check_int,
     check_labels,
     top_k_smallest,
 )
-from .flat import block_queries, check_threads, exact_candidates, query_matrix
+from .flat import block_queries, check_threads, exact_candidates, query_matrix, select_rows
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = ["IvfFlatIndex", "ivf_flat_build", "ivf_flat_search", "default_nprobe"]
@@ -170,11 +174,13 @@ def ivf_search(
     for the whole block.
     Each block's (query, probed list) pairs are grouped by list, so that
     `score_lists(qb, groups, found)` sees each probed list c once, as
-    (c, ascending rows of qb that probe it). For each such row j it
-    appends to found[j] the (ids, distances) of at least every entry of
-    list c that can be among query j's k nearest. It is the only step that
-    differs between ivf_flat and ivf_pq. `exact` says the scores are true
-    distances, so probing every list is exact.
+    (c, ascending rows of qb that probe it). It appends to found[j] the
+    (ids, distances) of at least every entry of query j's probed lists
+    that can be among its k nearest, one part per list, or one for them
+    all where ivf_flat ranks a one-query block's probed lists as one
+    union. It is the only step that differs between ivf_flat and ivf_pq.
+    `exact` says the scores are true distances, so probing every list is
+    exact.
     """
     q = query_matrix(queries, index.dim)
     k = check_int("k", k, 1)
@@ -210,8 +216,31 @@ def ivf_flat_search(
     """
     check_threads(threads)
 
+    def scan_union(lists: list[int], q: np.ndarray, qterms: np.ndarray):
+        """The (ids, distances) select_rows keeps for the one query q over
+        the union of its probed lists, ranked as one block of rows."""
+        # List lists[i] holds rows bounds[i]:bounds[i + 1] of the union.
+        bounds = [0, *accumulate(index.list_ids[c].shape[0] for c in lists)]
+        if not bounds[-1]:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        dots = np.empty((1, bounds[-1]), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, a, b in zip(lists, bounds, bounds[1:]):
+                np.matmul(index.list_vectors[c], q[0], out=dots[0, a:b])
+        terms = np.concatenate([index.list_terms[c] for c in lists], axis=1)
+        _, rows, _ = select_rows(dots, terms, qterms, k)
+        # The kept rows ascend, so each list's are one slice of them.
+        cuts = np.searchsorted(rows, bounds).tolist()
+        picked = [(c, rows[i:j] - a) for c, a, i, j in zip(lists, bounds, cuts, cuts[1:]) if i < j]
+        x = np.concatenate([index.list_vectors[c][r] for c, r in picked])
+        ids = np.concatenate([index.list_ids[c][r] for c, r in picked])
+        return ids, _squared_l2_rows(x, q)
+
     def score_lists(qb: np.ndarray, groups, found: list[list]) -> None:
         qterms = _bound_terms(qb)
+        if qb.shape[0] == 1:
+            found[0].append(scan_union([c for c, _ in groups], qb, qterms))
+            return
         for c, who in groups:
             vectors, ids = index.list_vectors[c], index.list_ids[c]
             step = block_queries(vectors.shape[0])

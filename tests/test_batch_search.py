@@ -5,6 +5,8 @@ query of a block that probes it. Whatever the batch size and block cap,
 every result must carry the bits the per-query loop gave.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,8 @@ from vse import (
     ivf_flat_search,
     ivf_pq_search,
 )
-from vse import flat
-from vse.flat import exact_candidates
+from vse import flat, ivf_flat
+from vse.flat import exact_candidates, select_rows
 from vse.ivf_flat import probe_order
 
 BATCHES = [1, 2, 17, 200]
@@ -252,3 +254,136 @@ def test_k_and_nprobe_must_be_integers(kind):
         for bad in (2.5, 2.0, True, False):
             with pytest.raises(DataError, match=rf"^nprobe must be an integer, got {bad!r}$"):
                 search(q, 3, nprobe=bad)
+
+
+@pytest.mark.parametrize("kind", ["flat", "ivf_flat", "ivf_pq"])
+def test_threads_must_be_the_integer_one(kind):
+    """A threads value equal to 1 that is not an integer, such as True or
+    1.0, is refused as 2 is; a numpy integer 1 is taken."""
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((30, 4)).astype(np.float32)
+    owner = np.arange(30) % 3
+    if kind == "flat":
+        index = flat_build(EmbeddingSet(vectors=rows, labels=["r"] * 30))
+        search = lambda **kw: flat_search(index, rows[:4], 3, **kw)
+    elif kind == "ivf_flat":
+        index = ivf_flat_index(rows, owner, rows[:3])
+        search = lambda **kw: ivf_flat_search(index, rows[:4], 3, nprobe=2, **kw)
+    else:
+        index = ivf_pq_index(rng, owner, 3, 2, 2, small_k=False)
+        search = lambda **kw: ivf_pq_search(index, rows[:4], 3, nprobe=2, **kw)
+    want = [r.ids.tolist() for r in search()]
+    assert [r.ids.tolist() for r in search(threads=np.int64(1))] == want
+    for bad in (True, 1.0, np.float64(1), 2):
+        with pytest.raises(DataError, match=rf"^threads must be 1, got {re.escape(repr(bad))}$"):
+            search(threads=bad)
+
+
+# Six lists around the query region (0.3, 0.3): lists 0-2 centred near it,
+# list 3 probed but empty, lists 4 and 5 far away. nprobe 4 probes 0-3.
+UNION_CENTROIDS = np.array(
+    [[0, 0], [1, 0], [0, 1], [-1, 0], [10, 10], [-10, -10]], dtype=np.float32
+)
+
+
+def union_queries(rng):
+    return (0.3 + 0.05 * rng.standard_normal((17, 2))).astype(np.float32)
+
+
+def assert_alone_and_batched_match(ivf, queries, k, nprobe):
+    """Each query alone, ranked over the union of its probed lists, and all
+    17 as one block, scanned list by list, give the per-query loop's bits."""
+    want = ivf_flat_search_v050(ivf, queries, k, nprobe)
+    approximate = nprobe < ivf.nlist
+    alone = [ivf_flat_search(ivf, q[None], k, nprobe=nprobe)[0] for q in queries]
+    assert_same(alone, want, approximate)
+    assert_same(ivf_flat_search(ivf, queries, k, nprobe=nprobe), want, approximate)
+    return want
+
+
+def test_one_query_union_spans_three_lists_and_an_empty_one():
+    rng = np.random.default_rng(11)
+    owner = rng.choice([0, 1, 2, 4, 5], size=300)
+    rows = (UNION_CENTROIDS[owner] + 0.4 * rng.standard_normal((300, 2))).astype(np.float32)
+    ivf = ivf_flat_index(rows, owner, UNION_CENTROIDS)
+    queries = union_queries(rng)
+    want = assert_alone_and_batched_match(ivf, queries, 10, 4)
+    for q, (ids, _) in zip(queries, want):
+        assert sorted(probe_order(ivf.coarse, q, 4).tolist()) == [0, 1, 2, 3]
+        assert set(owner[ids]) == {0, 1, 2}
+
+
+def test_one_query_union_shorter_than_k_gives_the_short_list():
+    rng = np.random.default_rng(12)
+    # Lists 0-2 hold 1, 2 and 0 rows; list 3 is empty; the far lists hold 40.
+    owner = np.array([0, 1, 1] + [4] * 20 + [5] * 20)
+    rows = (UNION_CENTROIDS[owner] + 0.1 * rng.standard_normal((43, 2))).astype(np.float32)
+    ivf = ivf_flat_index(rows, owner, UNION_CENTROIDS)
+    queries = union_queries(rng)
+    for nprobe, short in ((4, 3), (3, 3), (1, 1)):
+        for k in (short, 10):
+            want = assert_alone_and_batched_match(ivf, queries, k, nprobe)
+            assert all(ids.size == short for ids, _ in want)
+    # Every probed list empty: no candidates at all.
+    owner[:3] = 4
+    ivf = ivf_flat_index(rows, owner, UNION_CENTROIDS)
+    want = assert_alone_and_batched_match(ivf, queries, 10, 4)
+    assert all(ids.size == 0 for ids, _ in want)
+
+
+def test_one_query_union_keeps_rows_whose_f32_dots_overflow():
+    """Rows and queries near the corners (+-2e19, +-2e19): every f32 product
+    overflows, so a row at an adjacent corner can have a NaN dot (one
+    query's matrix-vector product gives NaN there with OpenBLAS, where the
+    block's matrix product gives an infinity) and no bound; with k large
+    enough it is among the true nearest."""
+    rng = np.random.default_rng(13)
+    corners = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]]) * 2e19
+    noise = lambda n: 1 + 0.01 * rng.standard_normal((n, 2))
+    rows = (corners[rng.integers(0, 4, 200)] * noise(200)).astype(np.float32)
+    owner = rng.integers(0, 8, 200)
+    owner[owner == 5] = 6  # an empty list
+    ivf = ivf_flat_index(rows, owner, draw_rows(rng, "huge", (8, 2)))
+    queries = (corners[rng.integers(0, 4, 17)] * noise(17)).astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(rows @ queries[0]).all()
+    for k in (1, 10, 60):
+        for nprobe in (1, 3, 8):
+            assert_alone_and_batched_match(ivf, queries, k, nprobe)
+
+
+def test_one_query_full_probe_equals_flat():
+    rows, owner, centroids, queries = draw_case(14, "small_ints", 60, 5, 6, 17)
+    ivf = ivf_flat_index(rows, owner, centroids)
+    base = flat_build(EmbeddingSet(vectors=rows, labels=ivf.labels))
+    for k in (1, 10, 60):
+        want = [(r.ids, r.dists) for r in flat_search(base, queries, k)]
+        alone = [ivf_flat_search(ivf, q[None], k, nprobe=ivf.nlist)[0] for q in queries]
+        assert_same(alone, want, approximate=False)
+        assert_alone_and_batched_match(ivf, queries, k, ivf.nlist)
+
+
+def test_one_query_selects_once_over_its_probed_lists():
+    """A one-query ivf_flat search runs select_rows twice: once over the
+    coarse centroids, once over the union of its probed lists. A batch
+    runs it once per query for the probe and once per probed list."""
+    calls = []
+
+    def spy(dots, terms, qterms, k):
+        calls.append(terms.shape[1])
+        return select_rows(dots, terms, qterms, k)
+
+    rng = np.random.default_rng(15)
+    rows = rng.standard_normal((400, 8)).astype(np.float32)
+    owner = rng.integers(0, 16, 400)
+    ivf = ivf_flat_index(rows, owner, rows[:16])
+    queries = rng.standard_normal((2, 8)).astype(np.float32)
+    probes = [probe_order(ivf.coarse, q, 8).tolist() for q in queries]
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (flat, ivf_flat):
+            mp.setattr(module, "select_rows", spy)
+        ivf_flat_search(ivf, queries[:1], 10, nprobe=8)
+        assert calls == [16, sum(int(np.sum(owner == c)) for c in probes[0])]
+        calls.clear()
+        ivf_flat_search(ivf, queries, 10, nprobe=8)
+        assert len(calls) == 2 + len(set(probes[0]) | set(probes[1]))
