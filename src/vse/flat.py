@@ -91,8 +91,10 @@ def check_threads(threads: int) -> None:
     """The three searches keep `threads` only while the benchmark passes
     threads=1; every search runs on the calling thread, so any value that
     is not an integer equal to 1, a bool or 1.0 among them, is refused."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads != 1:
-        raise DataError(f"threads must be 1, got {threads!r}")
+    try:
+        check_int("threads", threads, 1, 2)
+    except DataError:
+        raise DataError(f"threads must be 1, got {threads!r}") from None
 
 
 def select_rows(dots, terms: np.ndarray, qterms: np.ndarray, k: int):
