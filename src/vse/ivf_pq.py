@@ -161,7 +161,9 @@ def _train_parts(base: EmbeddingSet, nlist: int, m: int, seed: int, max_iters: i
     subs: list[Codebook] = []
     for j in range(m):
         slices = residuals[:, j * sub : (j + 1) * sub]
-        distinct = np.unique(slices, axis=0).shape[0]
+        # Distinct slices by their bytes: + 0 turns -0.0 into 0.0, and a
+        # residual is never NaN, so slices of equal floats have equal bytes.
+        distinct = np.unique((slices + np.float32(0)).view(np.dtype((np.void, 4 * sub)))).size
         # Sub-codebook seeds are offset so no subspace shares the coarse
         # quantizer's stream; k caps at the distinct slice count.
         subs.append(

@@ -7,7 +7,11 @@ through this trainer, so its determinism rules are strict:
 * assignment ranks centroids by the f64 expansion ((-2x.c) + |x|^2) + |c|^2,
   in row blocks sized by k, with ties to the lower centroid index; the
   expansion can pick the farther of two centroids whose squared distances
-  differ by less than about |x|^2 * 2^-52,
+  differ by less than about |x|^2 * 2^-52. At k > 2 an f32 screen ranks
+  every row first and decides the rows where a proven bound shows the
+  expansion would pick the same centroid; only the blocks that hold a row
+  it cannot decide are ranked by the expansion, so every label is the
+  expansion's,
 * empty clusters are repaired from the largest cluster's farthest point,
 * centroid means accumulate in f64 over members in ascending row order,
   for every dimension, then round to f32 (the storage dtype),
@@ -29,6 +33,7 @@ bits it would get alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +53,8 @@ from .core import (
 
 __all__ = ["Codebook", "Assignment", "kmeans_train", "assign"]
 
-# f64 distances per assignment block (512 KiB).
+# f64 distances per assignment block (512 KiB); the f32 screen ranks twice
+# as many per chunk in the same bytes.
 _BLOCK_ELEMS = 65536
 
 
@@ -134,27 +140,125 @@ def _assign_labels(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     x is one (n, d) problem with (k, d) centroids, or a stack of F problems
     of one size, (F, n, d) with (F, k, d) centroids, each ranked against
-    its own centroids. Ranking uses the ((-2x.c) + |x|^2) + |c|^2 expansion
-    in f64, one GEMM per problem per block of _row_blocks: a stacked
-    `matmul` makes the same GEMM call per problem as a single one. This is
-    a fast path for the argmin only; any distance that is reported or
-    summed into inertia goes back through the canonical kernel.
+    its own centroids. The rule is the ((-2x.c) + |x|^2) + |c|^2 expansion
+    in f64, one GEMM per problem per block of _row_blocks (`_rule_block`):
+    a stacked `matmul` makes the same GEMM call per problem as a single
+    one. `_screen` ranks every row by one f32 GEMM first and proves, where
+    it can, that the rule picks the same centroid; only a block holding a
+    row it cannot decide is ranked by the rule, and in a stack only the
+    problems with such a row. So the labels are the rule's, bit for bit.
+    This is a fast path for the argmin only; any distance that is reported
+    or summed into inertia goes back through the canonical kernel.
     """
-    n, d = x.shape[-2:]
+    n = x.shape[-2]
     c64 = centroids.astype(np.float64)
     csq = _row_dots(c64)
+    blocks = list(_row_blocks(n, c64.shape[-2]))
+    screened = _screen(x, centroids, csq)
+    if screened is None:
+        labels = np.empty(x.shape[:-1], dtype=np.int64)
+        todo = [(..., start, stop) for start, stop in blocks]
+    else:
+        labels, undecided = screened
+        opened = np.logical_or.reduceat(undecided, [start for start, _ in blocks], axis=-1)
+        if x.ndim == 2:
+            todo = [(..., *blocks[i]) for i in np.flatnonzero(opened)]
+        else:
+            todo = [(np.flatnonzero(opened[:, i]), *blocks[i])
+                    for i in np.flatnonzero(opened.any(axis=0))]
     # Scaling f32-range values by a power of two is exact, so the GEMM
     # gives -2x.c bit for bit, as if its result were scaled.
     c64 *= -2.0
-    ct = np.swapaxes(c64, -1, -2)
-    labels = np.empty(x.shape[:-1], dtype=np.int64)
-    for start, stop in _row_blocks(n, c64.shape[-2]):
-        b = x[..., start:stop, :].astype(np.float64)
-        g = b @ ct
-        g += _row_dots(b)[..., None]
-        g += csq[..., None, :]
-        labels[..., start:stop] = np.argmin(g, axis=-1)
+    for p, start, stop in todo:
+        labels[p, start:stop] = _rule_block(
+            x[p, start:stop, :], np.swapaxes(c64[p], -1, -2), csq[p]
+        )
     return labels
+
+
+def _rule_block(x: np.ndarray, ct: np.ndarray, csq: np.ndarray) -> np.ndarray:
+    """The f64 rule on one block of rows: argmin of ((x @ ct) + |x|^2) + csq,
+    with ct the transposed centroids scaled by -2 and csq their |c|^2."""
+    b = x.astype(np.float64)
+    g = b @ ct
+    g += _row_dots(b)[..., None]
+    g += csq[..., None, :]
+    return np.argmin(g, axis=-1)
+
+
+def _screen(x: np.ndarray, centroids: np.ndarray, csq: np.ndarray):
+    """(labels, undecided) of an f32 ranking of every row, or None when
+    k <= 2, d >= 2^20 or an f32 value could overflow; csq holds the rule's
+    f64 |c|^2.
+
+    A row's label is its f32 argmin. It is undecided unless its runner-up
+    trails by more than a bound that proves the f64 rule picks the same
+    centroid.
+    """
+    n, d = x.shape[-2:]
+    k = centroids.shape[-2]
+    if k <= 2 or d >= 1 << 20:
+        return None
+    # Row x is scored against centroid c_j by s_j, the f32 dot of [x, 1]
+    # and [-2c_j, fl32(C_j)], where C_j is the rule's f64 |c_j|^2. The rule
+    # ranks by E_j = ((G_j + X) + C_j) in f64, G_j the f64 GEMM's -2x.c_j,
+    # X its |x|^2. Let P_j = -2x.c_j + C_j exactly, N = |x|, M = max |c_j|,
+    # u = 2^-24, v = 2^-53, and g = (d + 1) u / (1 - (d + 1) u):
+    # - f32 dot: |s_j - P_j| <= (g + u) M (2N + M) + 4 (d + 1) 2^-126 + 2^-148.
+    #   The d + 1 products and sums lose at most g sum |a b| <= g (2 N M +
+    #   fl32(C_j)) for any summation order, with or without FMA, so for
+    #   any BLAS kernel, block shape and thread split; fl32(C_j) is within
+    #   u C_j + 2^-150 of C_j; each of the 2 (d + 1) products and sums loses
+    #   at most 2^-126 more when its result is tiny, even where subnormal
+    #   results flush to zero, and the later sums carry it by a factor < 2.
+    # - f64 rule: |E_j - X - P_j| <= (d + 3) v (N + M)^2. Products of f32
+    #   values are exact in f64 and cannot underflow, G_j sums d of them in
+    #   any order, and the two adds round once each. X is the same for every
+    #   j, so its own rounding cancels out of the ranking.
+    # If s_r - s_a > tol = 2 (their sum) for the f32 argmin a and the
+    # runner-up r, then for every b != a, E_b - E_a >= (s_b - s_a) - tol > 0:
+    # the rule picks a, whatever the order of its sums. N and M are bounded
+    # above from the f32 |x|^2 (within g of N^2 plus 4 d 2^-126) and C_j
+    # (within g of M^2); for d < 2^20 the factor 1 + 2^-20 covers the
+    # second-order terms left out above, such as C_j <= (1 + d v) M^2, and
+    # the f64 roundings of those bounds, of tol and of the gap. Every f32
+    # value stays below 2^127 when (N + M)^2 < 2^125; past that, or at
+    # k <= 2 where a screen costs more than it saves, the rule ranks every
+    # row.
+    g = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24)
+    with np.errstate(over="ignore"):
+        xsq = np.einsum("...j,...j->...", x, x)
+    xn = np.sqrt((xsq.astype(np.float64) + 4 * d * 2.0**-126) / (1 - g))
+    cn = np.sqrt(csq.max(axis=-1, keepdims=True) / (1 - g))
+    if not (xn.max() + cn.max()) ** 2 < 2.0**125:
+        return None
+    tol = (g + 2.0**-24) * cn * (2 * xn + cn)
+    tol += (d + 3) * 2.0**-53 * (xn + cn) ** 2
+    tol *= 2 * (1 + 2.0**-20)
+    tol += (8 * d + 16) * 2.0**-126
+    w = np.empty(centroids.shape[:-2] + (d + 1, k), dtype=np.float32)
+    w[..., :d, :] = np.swapaxes(centroids, -1, -2)
+    w[..., :d, :] *= -2
+    w[..., d, :] = csq
+    rows = max(1, 2 * _BLOCK_ELEMS // (k * math.prod(x.shape[:-2])))
+    aug = np.empty(x.shape[:-2] + (min(rows, n), d + 1), dtype=np.float32)
+    aug[..., d] = 1
+    labels = np.empty(x.shape[:-1], dtype=np.int64)
+    undecided = np.empty(x.shape[:-1], dtype=bool)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        b = aug[..., : stop - start, :]
+        b[..., :d] = x[..., start:stop, :]
+        s = np.matmul(b, w).reshape(-1, k)
+        at = np.arange(0, s.size, k)
+        first = s.argmin(axis=1)
+        flat = s.reshape(-1)
+        best = flat[at + first]
+        flat[at + first] = np.inf  # so the second argmin finds the runner-up
+        gap = flat[at + s.argmin(axis=1)].astype(np.float64) - best
+        labels[..., start:stop] = first.reshape(b.shape[:-1])
+        undecided[..., start:stop] = ~(gap.reshape(b.shape[:-1]) > tol[..., start:stop])
+    return labels, undecided
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from vse import (
     squared_l2_batch,
 )
 from vse import Codebook, IvfPqIndex, PqParams
+from vse import save_index
 from vse.ivf_pq import adc_table
 
 
@@ -495,3 +496,35 @@ def test_int64_codes_in_range_are_stored_as_bytes():
     assert np.array_equal(got.list_codes[c], idx.list_codes[c])
     q = np.ones((1, 8), dtype=np.float32)
     assert np.array_equal(ivf_pq_search(got, q, 5)[0].dists, ivf_pq_search(idx, q, 5)[0].dists)
+
+
+def test_signed_zero_slices_count_once_toward_the_sub_codebook_size(tmp_path):
+    # Subspace 0 holds rows of 0.0 and of -0.0 (the coarse centroid is +0.0
+    # there, so residuals keep the sign): they count as one distinct slice,
+    # as under a float compare, so k is 5 and not the 7 byte patterns.
+    rng = np.random.default_rng(2)
+    z = -0.0
+    patterns = np.float32(
+        [[0, 0, 0, 0], [z, z, z, z], [z, 0, z, 0], [1, 0, 0, 0], [-1, 0, 0, 0],
+         [0, 0, 1, -1], [0, 0, -1, 1]]
+    )
+    x = np.hstack([patterns[np.arange(300) % 7], rng.standard_normal((300, 4))]).astype(np.float32)
+    es = EmbeddingSet(vectors=x, labels=[f"r{i}" for i in range(300)])
+    idx = ivf_pq_build(es, 1, 2, seed=4, max_iters=5)
+
+    resid = (x.astype(np.float64) - idx.coarse.centroids.astype(np.float64)).astype(np.float32)
+    slices = [np.ascontiguousarray(resid[:, j * 4 : (j + 1) * 4]) for j in range(2)]
+    assert np.unique(slices[0].view(np.dtype((np.void, 16)))).size == 7
+    ks = [min(256, np.unique(sl, axis=0).shape[0]) for sl in slices]
+    assert [cb.k for cb in idx.subs] == ks == [5, 256]
+    subs = tuple(
+        kmeans_train(sl, kj, max_iters=5, seed=5 + j) for j, (sl, kj) in enumerate(zip(slices, ks))
+    )
+    codes = np.stack([assign(sl, cb).labels for sl, cb in zip(slices, subs)], axis=1)
+    want = IvfPqIndex(
+        coarse=idx.coarse, params=PqParams(m=2), subs=subs, list_ids=(np.arange(300),),
+        list_codes=(codes.astype(np.uint8),), labels=es.labels, normalized=False,
+    )
+    save_index(idx, tmp_path / "got.vidx")
+    save_index(want, tmp_path / "want.vidx")
+    assert (tmp_path / "got.vidx").read_bytes() == (tmp_path / "want.vidx").read_bytes()
