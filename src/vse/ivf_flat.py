@@ -180,7 +180,8 @@ def ivf_search(
     all where ivf_flat ranks a one-query block's probed lists as one
     union. It is the only step that differs between ivf_flat and ivf_pq.
     `exact` says the scores are true distances, so probing every list is
-    exact.
+    exact. Each query keeps its k nearest entries by (distance, id), or
+    every entry, in that order, when its probed lists hold k or fewer.
     """
     q = query_matrix(queries, index.dim)
     k = check_int("k", k, 1)
@@ -200,8 +201,7 @@ def ivf_search(
         for parts in found:
             ids = np.concatenate([part_ids for part_ids, _ in parts])
             dists = np.concatenate([part_dists for _, part_dists in parts])
-            kk = min(k, ids.shape[0])
-            ids_k, d_k = top_k_smallest(dists, ids, kk) if kk else (ids, dists)
+            ids_k, d_k = top_k_smallest(dists, ids, k)
             out.append(SearchResult(ids=ids_k, dists=d_k, approximate=approximate))
     return out
 
@@ -246,9 +246,9 @@ def ivf_flat_search(
             step = block_queries(vectors.shape[0])
             for start in range(0, len(who), step):
                 sel = who[start : start + step]
-                # A group of every query of the block takes it as it is.
-                qs, qt = (qb, qterms) if len(sel) == len(qb) else (qb[sel], qterms[:, sel])
-                counts, rows, dists = exact_candidates(vectors, index.list_terms[c], qs, qt, k)
+                counts, rows, dists = exact_candidates(
+                    vectors, index.list_terms[c], qb[sel], qterms[:, sel], k
+                )
                 rows, end = ids[rows], 0
                 for j, count in zip(sel, counts):
                     found[j].append((rows[end : end + count], dists[end : end + count]))

@@ -16,8 +16,10 @@ last is gathered from one (m, 256) table of -2<q_j, s_jb> per query,
 which all of its probed lists share; the first is the same for every row
 of a list, so the ranking leaves it out. A proven bound on how far that
 estimate is from the ADC value keeps every row that can be among the
-query's k nearest in the list, and only those are scored by the ADC rule,
-so distances carry the same bits as a full scan of every table. They are
+query's k nearest in the list. Once a query block's lists are ranked,
+all the rows they kept are scored by the ADC rule through the canonical
+kernel, core._squared_l2_rows, _SCORE_ELEMS values at a time, so
+distances carry the same bits as a full scan of every table. They are
 estimates, so every result is flagged approximate.
 """
 
@@ -32,7 +34,6 @@ import numpy as np
 from .core import DataError, EmbeddingSet, SearchResult, _squared_l2_rows, check_int
 from .flat import block_queries, check_threads, query_matrix
 from .ivf_flat import check_posting_lists, coarse_lists, ivf_search
-from .kmeans import _BLOCK_ELEMS as _CACHE_ELEMS
 from .kmeans import Codebook, assign, kmeans_train
 
 __all__ = [
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 KSUB = 256  # byte codes: one u8 per subspace per vector
+# f64 sub-centroid values per scoring pass of ivf_pq_search (512 KiB): the
+# kept rows of a query block are scored at most this many values at a time.
+_SCORE_ELEMS = 65536
 
 
 @dataclass(frozen=True)
@@ -98,34 +102,30 @@ class IvfPqIndex:
         object.__setattr__(self, "stacked_subs", stacked)
 
     @cached_property
-    def code_entries(self) -> tuple[np.ndarray, ...]:
-        """Each list's codes as entries of a query's flattened (m, KSUB)
-        tables, one row per subspace and one column per list row: code b
-        of subspace j is entry j * KSUB + b. Computed on first search."""
-        offsets = KSUB * np.arange(self.params.m)[:, None]
-        return tuple(np.ascontiguousarray(codes.T) + offsets for codes in self.list_codes)
-
-    @cached_property
-    def code_terms(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-        """The query-free parts of ivf_pq_search's ranking, in f64, computed
-        on first search: each list's rows' |S|^2 + 2<c, S>, S a row's
-        decoded residual and c the list's centroid; the (2, nlist) array
-        of each list's |c| and largest row |S|; and the (m, subdim, KSUB)
-        sub-centroids transposed and scaled by -2, which turn a query's
-        slices into its tables."""
+    def code_terms(self) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
+        """The query-free parts of ivf_pq_search's ranking, computed on first
+        search: each list's codes as entries of a query's flattened (m, KSUB)
+        tables, one row per subspace and one column per list row (code b of
+        subspace j is entry j * KSUB + b); each list's rows' |S|^2 + 2<c, S>
+        in f64, S a row's decoded residual and c the list's centroid; the
+        (2, nlist) array of each list's |c| and largest row |S|; and the
+        (m, subdim, KSUB) sub-centroids transposed and scaled by -2, which
+        turn a query's slices into its tables."""
         m, sub = self.params.m, self.subdim
+        offsets = KSUB * np.arange(m)[:, None]
         sq = _squared_l2_rows(self.stacked_subs).ravel()  # |s_jb|^2 at entry j * KSUB + b
         cents = self.coarse.centroids.astype(np.float64)
-        rows, norms = [], np.zeros((2, self.nlist))
-        for c, entries in enumerate(self.code_entries):
+        entries, rows, norms = [], [], np.zeros((2, self.nlist))
+        for c, codes in enumerate(self.list_codes):
+            entries.append(np.ascontiguousarray(codes.T) + offsets)
             cross = self.stacked_subs @ cents[c].reshape(m, sub, 1)
-            rows.append((sq + 2.0 * cross.ravel())[entries].sum(axis=0))
-            if entries.size:
-                norms[1, c] = sq[entries].sum(axis=0).max()
+            rows.append((sq + 2.0 * cross.ravel())[entries[c]].sum(axis=0))
+            if codes.size:
+                norms[1, c] = sq[entries[c]].sum(axis=0).max()
         norms[0] = _squared_l2_rows(cents)
         np.sqrt(norms, out=norms)
         weights = np.ascontiguousarray(self.stacked_subs.transpose(0, 2, 1)) * -2.0
-        return tuple(rows), norms, weights
+        return tuple(entries), tuple(rows), norms, weights
 
     @property
     def nlist(self) -> int:
@@ -255,29 +255,21 @@ def _residuals_to(index: IvfPqIndex, queries: np.ndarray, lists: np.ndarray):
     return e, r.astype(np.float64)
 
 
-def _slice_sums(cents: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The f64 sum over the last axis of (cents - r)^2, as the canonical
-    kernel sums: cents holds sub-centroids, r broadcasts against them."""
-    d = cents - r
-    np.square(d, out=d)
-    return d.sum(axis=-1)
-
-
 def adc_table(index: IvfPqIndex, query: np.ndarray, list_id: int) -> np.ndarray:
     """All m distance tables for one (query, probed list) pair, as (m, KSUB).
 
     Entry [j, b] is the canonical squared L2 between slice j of the query's
-    residual against this list's centroid and sub-centroid b: the same bits
-    as squared_l2_batch(subs[j].centroids, slice j), as both sum over the
-    last axis of a contiguous f64 array. Entries at b >= subs[j].k are
-    padding; no valid code reaches them. A row's ADC value is the sum of
+    residual against this list's centroid and sub-centroid b, from
+    core._squared_l2_rows, so the same bits as
+    squared_l2_batch(subs[j].centroids, slice j). Entries at b >= subs[j].k
+    are padding; no valid code reaches them. A row's ADC value is the sum of
     its m entries in subspace order, over the last axis too. ivf_pq_search
-    builds no such table: it scores only the rows its ranking keeps,
-    through the same _slice_sums, so with the same bits.
+    builds no such table: it scores only the rows its ranking keeps, through
+    the same kernel, so with the same bits.
     """
     q = np.asarray(query, dtype=np.float32).astype(np.float64).reshape(1, -1)
     _, r = _residuals_to(index, q, np.array([list_id]))
-    return _slice_sums(index.stacked_subs, r.reshape(index.m, 1, index.subdim))
+    return _squared_l2_rows(index.stacked_subs, r.reshape(index.m, 1, index.subdim))
 
 
 def _twice_bounds(index: IvfPqIndex, q: np.ndarray, pair_query, pair_list, e, r) -> np.ndarray:
@@ -313,7 +305,7 @@ def _twice_bounds(index: IvfPqIndex, q: np.ndarray, pair_query, pair_list, e, r)
     each row of the query's k nearest in the list by (ADC value, id) has
     F <= t + 2B. All of it is finite for f32 inputs.
     """
-    _, (cnorms, smax), _ = index.code_terms
+    _, _, (cnorms, smax), _ = index.code_terms
     d, u = index.dim, 2.0**-53
     en = np.sqrt(_squared_l2_rows(e))
     delta = np.sqrt(_squared_l2_rows(r, e)) + 2 * u * en
@@ -335,12 +327,11 @@ def ivf_pq_search(
     check_threads(threads)
     m, sub, dim = index.m, index.subdim, index.dim
     flat_subs = index.stacked_subs.reshape(m * KSUB, sub)
-    # Kept rows wait to be scored together, at most about kmeans._BLOCK_ELEMS
-    # values at a time, which stay in cache.
-    most = max(1, _CACHE_ELEMS // dim)
+    offsets = KSUB * np.arange(m)  # code b of subspace j is row j * KSUB + b of flat_subs
+    most = max(1, _SCORE_ELEMS // dim)  # rows per scoring pass
 
     def score_lists(qb: np.ndarray, groups, found: list[list]) -> None:
-        row_terms, _, weights = index.code_terms
+        list_entries, row_terms, _, weights = index.code_terms
         groups = list(groups)
         # The block's (query, list) pairs, list by list.
         pair_query = [j for _, who in groups for j in who]
@@ -353,26 +344,9 @@ def ivf_pq_search(
         # tables every list the query probes shares.
         tables = np.empty((qb.shape[0], m * KSUB))
         np.matmul(q64.reshape(-1, m, 1, sub), weights, out=tables.reshape(-1, m, 1, KSUB))
-        kept, waiting, done = [], 0, 0  # (pairs, entries, ids) of rows to score
-
-        def hand_out(upto: int) -> None:
-            """Score the kept rows of pairs done..upto-1 by the ADC rule and
-            hand them to their queries."""
-            nonlocal waiting, done
-            pairs = np.concatenate([p for p, _, _ in kept])
-            cents = flat_subs[np.concatenate([codes for _, codes, _ in kept], axis=1).T]
-            ids = np.concatenate([i for _, _, i in kept])
-            dists, end = _slice_sums(cents, r[pairs]).sum(axis=1), 0
-            counts = np.bincount(pairs - done, minlength=upto - done).tolist()
-            for p, count in enumerate(counts, done):
-                found[pair_query[p]].append((ids[end : end + count], dists[end : end + count]))
-                end += count
-            kept.clear()
-            waiting, done = 0, upto
-
-        at = 0
+        kept, at = [], 0  # (pairs, codes, ids) of the rows each list keeps
         for c, who in groups:
-            ids, entries = index.list_ids[c], index.code_entries[c]
+            ids, entries = index.list_ids[c], list_entries[c]
             n = ids.size
             step = block_queries(n * dim)
             for start in range(0, len(who), step):
@@ -388,12 +362,18 @@ def ivf_pq_search(
                     limit += twice_b[first : first + len(sel)]
                     keep = est <= limit[:, None]
                 pairs, rows = np.nonzero(keep)
-                if kept and waiting + rows.size > most:
-                    hand_out(first)
-                kept.append((pairs + first, entries[:, rows], ids[rows]))
-                waiting += rows.size
+                kept.append((pairs + first, index.list_codes[c][rows], ids[rows]))
             at += len(who)
-        hand_out(at)
+        # The kept rows, pair by pair, scored by the ADC rule `most` at a time.
+        pairs, codes, ids = (np.concatenate(part) for part in zip(*kept))
+        dists = np.empty(ids.size)
+        for a in range(0, ids.size, most):
+            cents = flat_subs[codes[a : a + most] + offsets]
+            dists[a : a + most] = _squared_l2_rows(cents, r, pairs[a : a + most]).sum(axis=1)
+        end = 0
+        for p, count in enumerate(np.bincount(pairs, minlength=at).tolist()):
+            found[pair_query[p]].append((ids[end : end + count], dists[end : end + count]))
+            end += count
 
     return ivf_search(
         index, queries, k, nprobe, score_lists, exact=False,

@@ -7,11 +7,11 @@ through this trainer, so its determinism rules are strict:
 * assignment ranks centroids by the f64 expansion ((-2x.c) + |x|^2) + |c|^2,
   in row blocks sized by k, with ties to the lower centroid index; the
   expansion can pick the farther of two centroids whose squared distances
-  differ by less than about |x|^2 * 2^-52. At k > 2 an f32 screen ranks
-  every row first and decides the rows where a proven bound shows the
-  expansion would pick the same centroid; only the blocks that hold a row
-  it cannot decide are ranked by the expansion, so every label is the
-  expansion's,
+  differ by less than about |x|^2 * 2^-52. For one problem at k > 2 an f32
+  screen ranks every row first and decides the rows where a proven bound
+  shows the expansion would pick the same centroid; only the blocks that
+  hold a row it cannot decide are ranked by the expansion, so every label
+  is the expansion's,
 * empty clusters are repaired from the largest cluster's farthest point,
 * centroid means accumulate in f64 over members in ascending row order,
   for every dimension, then round to f32 (the storage dtype),
@@ -23,17 +23,16 @@ Two runs with the same (data, k, max_iters, seed) are bitwise identical.
 
 One Lloyd loop serves both one problem (`kmeans_train`) and a stack of F
 problems of one size trained in lockstep (`kmeans_stack`, which gallery
-cleaning uses for its k=2 splits): one stacked GEMM per assignment block,
-one `bincount` per mean update over every problem's clusters, and a
-repair only where a cluster is empty. The init draw depends only on
-(seed, n, k), so one draw serves the stack, and each problem leaves the
-loop at its own convergence iteration. Every problem of a stack gets the
-bits it would get alone.
+cleaning uses for its k=2 splits): one stacked GEMM per assignment block
+and no screen, one `bincount` per mean update over every problem's
+clusters, and a repair only where a cluster is empty. The init draw
+depends only on (seed, n, k), so one draw serves the stack, and each
+problem leaves the loop at its own convergence iteration. Every problem
+of a stack gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,10 +142,11 @@ def _assign_labels(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     its own centroids. The rule is the ((-2x.c) + |x|^2) + |c|^2 expansion
     in f64, one GEMM per problem per block of _row_blocks (`_rule_block`):
     a stacked `matmul` makes the same GEMM call per problem as a single
-    one. `_screen` ranks every row by one f32 GEMM first and proves, where
-    it can, that the rule picks the same centroid; only a block holding a
-    row it cannot decide is ranked by the rule, and in a stack only the
-    problems with such a row. So the labels are the rule's, bit for bit.
+    one. For a single problem, `_screen` ranks every row by one f32 GEMM
+    first and proves, where it can, that the rule picks the same centroid;
+    only a block holding a row it cannot decide is ranked by the rule. A
+    stack is ranked by the rule in every block. So the labels are the
+    rule's, bit for bit.
     This is a fast path for the argmin only; any distance that is reported
     or summed into inertia goes back through the canonical kernel.
     """
@@ -157,21 +157,16 @@ def _assign_labels(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     screened = _screen(x, centroids, csq)
     if screened is None:
         labels = np.empty(x.shape[:-1], dtype=np.int64)
-        todo = [(..., start, stop) for start, stop in blocks]
     else:
         labels, undecided = screened
-        opened = np.logical_or.reduceat(undecided, [start for start, _ in blocks], axis=-1)
-        if x.ndim == 2:
-            todo = [(..., *blocks[i]) for i in np.flatnonzero(opened)]
-        else:
-            todo = [(np.flatnonzero(opened[:, i]), *blocks[i])
-                    for i in np.flatnonzero(opened.any(axis=0))]
+        opened = np.logical_or.reduceat(undecided, [start for start, _ in blocks])
+        blocks = [blocks[i] for i in np.flatnonzero(opened)]
     # Scaling f32-range values by a power of two is exact, so the GEMM
     # gives -2x.c bit for bit, as if its result were scaled.
     c64 *= -2.0
-    for p, start, stop in todo:
-        labels[p, start:stop] = _rule_block(
-            x[p, start:stop, :], np.swapaxes(c64[p], -1, -2), csq[p]
+    for start, stop in blocks:
+        labels[..., start:stop] = _rule_block(
+            x[..., start:stop, :], np.swapaxes(c64, -1, -2), csq
         )
     return labels
 
@@ -187,17 +182,17 @@ def _rule_block(x: np.ndarray, ct: np.ndarray, csq: np.ndarray) -> np.ndarray:
 
 
 def _screen(x: np.ndarray, centroids: np.ndarray, csq: np.ndarray):
-    """(labels, undecided) of an f32 ranking of every row, or None when
-    k <= 2, d >= 2^20 or an f32 value could overflow; csq holds the rule's
-    f64 |c|^2.
+    """(labels, undecided) of an f32 ranking of every row of one (n, d)
+    problem, or None when k <= 2, d >= 2^20 or an f32 value could
+    overflow, and for a stack, as the only stacks are cleaning's k = 2
+    splits; csq holds the rule's f64 |c|^2.
 
     A row's label is its f32 argmin. It is undecided unless its runner-up
     trails by more than a bound that proves the f64 rule picks the same
     centroid.
     """
-    n, d = x.shape[-2:]
-    k = centroids.shape[-2]
-    if k <= 2 or d >= 1 << 20:
+    (n, d), k = x.shape[-2:], centroids.shape[-2]
+    if x.ndim != 2 or k <= 2 or d >= 1 << 20:
         return None
     # Row x is scored against centroid c_j by s_j, the f32 dot of [x, 1]
     # and [-2c_j, fl32(C_j)], where C_j is the rule's f64 |c_j|^2. The rule
@@ -227,37 +222,37 @@ def _screen(x: np.ndarray, centroids: np.ndarray, csq: np.ndarray):
     # row.
     g = (d + 1) * 2.0**-24 / (1 - (d + 1) * 2.0**-24)
     with np.errstate(over="ignore"):
-        xsq = np.einsum("...j,...j->...", x, x)
+        xsq = np.einsum("ij,ij->i", x, x)
     xn = np.sqrt((xsq.astype(np.float64) + 4 * d * 2.0**-126) / (1 - g))
-    cn = np.sqrt(csq.max(axis=-1, keepdims=True) / (1 - g))
-    if not (xn.max() + cn.max()) ** 2 < 2.0**125:
+    cn = np.sqrt(csq.max() / (1 - g))
+    if not (xn.max() + cn) ** 2 < 2.0**125:
         return None
     tol = (g + 2.0**-24) * cn * (2 * xn + cn)
     tol += (d + 3) * 2.0**-53 * (xn + cn) ** 2
     tol *= 2 * (1 + 2.0**-20)
     tol += (8 * d + 16) * 2.0**-126
-    w = np.empty(centroids.shape[:-2] + (d + 1, k), dtype=np.float32)
-    w[..., :d, :] = np.swapaxes(centroids, -1, -2)
-    w[..., :d, :] *= -2
-    w[..., d, :] = csq
-    rows = max(1, 2 * _BLOCK_ELEMS // (k * math.prod(x.shape[:-2])))
-    aug = np.empty(x.shape[:-2] + (min(rows, n), d + 1), dtype=np.float32)
-    aug[..., d] = 1
-    labels = np.empty(x.shape[:-1], dtype=np.int64)
-    undecided = np.empty(x.shape[:-1], dtype=bool)
+    w = np.empty((d + 1, k), dtype=np.float32)
+    w[:d] = centroids.T
+    w[:d] *= -2
+    w[d] = csq
+    rows = max(1, 2 * _BLOCK_ELEMS // k)
+    aug = np.empty((min(rows, n), d + 1), dtype=np.float32)
+    aug[:, d] = 1
+    labels = np.empty(n, dtype=np.int64)
+    undecided = np.empty(n, dtype=bool)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        b = aug[..., : stop - start, :]
-        b[..., :d] = x[..., start:stop, :]
-        s = np.matmul(b, w).reshape(-1, k)
+        b = aug[: stop - start]
+        b[:, :d] = x[start:stop]
+        s = b @ w
         at = np.arange(0, s.size, k)
         first = s.argmin(axis=1)
         flat = s.reshape(-1)
         best = flat[at + first]
         flat[at + first] = np.inf  # so the second argmin finds the runner-up
         gap = flat[at + s.argmin(axis=1)].astype(np.float64) - best
-        labels[..., start:stop] = first.reshape(b.shape[:-1])
-        undecided[..., start:stop] = ~(gap.reshape(b.shape[:-1]) > tol[..., start:stop])
+        labels[start:stop] = first
+        undecided[start:stop] = ~(gap > tol[start:stop])
     return labels, undecided
 
 

@@ -153,10 +153,13 @@ def test_top_k_smallest_k_equals_n_is_full_sort():
     dists = rng.random(40)
     dists[5] = dists[11]
     ids = np.arange(40, dtype=np.int64)
-    got_ids, got_dists = top_k_smallest(dists, ids, 40)
-    order = np.lexsort((ids, dists))
-    assert np.array_equal(got_ids, ids[order])
-    assert np.array_equal(got_dists, dists[order])
+    # k > n, as for an IVF query whose probed lists hold fewer than k rows,
+    # and no candidates at all also return every candidate in order.
+    for n, k in ((40, 40), (12, 20), (0, 3)):
+        got_ids, got_dists = top_k_smallest(dists[:n], ids[:n], k)
+        order = np.lexsort((ids[:n], dists[:n]))
+        assert got_ids.dtype == np.int64 and np.array_equal(got_ids, ids[:n][order])
+        assert got_dists.dtype == np.float64 and np.array_equal(got_dists, dists[:n][order])
 
 
 # The one squared-L2 kernel, held bit for bit to the copies of vse 0.4.1

@@ -156,13 +156,14 @@ def test_shortlist_holds_k_rows_per_list_on_normalized_rows():
     queries = es.vectors[::100] + np.float32(0.01)
     scored = []
 
-    def spy(cents, r):
-        scored.append(cents.shape[0])
-        return slice_sums(cents, r)
+    def spy(x, y=None, pairs=None):
+        if pairs is not None:  # the ADC rule on kept rows, not a norm or residual
+            scored.append(x.shape[0])
+        return kernel(x, y, pairs)
 
-    slice_sums = ivf_pq._slice_sums
+    kernel = ivf_pq._squared_l2_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ivf_pq, "_slice_sums", spy)
+        mp.setattr(ivf_pq, "_squared_l2_rows", spy)
         got = ivf_pq_search(idx, queries, 10, nprobe=4)
     assert sum(scored) == 10 * 4 * len(queries)
     assert_matches_v041(idx, queries, 10, 4)
@@ -184,6 +185,13 @@ def test_ranking_bound_covers_the_cancellation_at_an_offset(
     """Centroids and queries share a large offset, so 2<c, S> and 2<q, S>
     cancel in the estimate and their f64 rounding reorders rows whose ADC
     values are close or tied. Without the f64 error terms in the bound,
-    each of these cases returns other rows."""
+    each of these cases returns other rows. Blocks of 2 of the 4 queries
+    and scoring passes of 1 or 3 rows put block and pass edges among them."""
     idx, queries = draw_index(seed, m, subdim, nlist, count, offset, spread, ints, 4)
     assert_matches_v041(idx, queries, k, nlist)
+    per_query = nlist * (-(-count // nlist) + idx.dim) + ivf_pq.KSUB * m
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flat, "_BLOCK_ELEMS", 2 * per_query)
+        for rows in (1, 3):
+            mp.setattr(ivf_pq, "_SCORE_ELEMS", rows * idx.dim)
+            assert_matches_v041(idx, queries, k, nlist)

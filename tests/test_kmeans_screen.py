@@ -189,6 +189,7 @@ def test_a_stack_ranks_only_its_problems_with_an_undecided_row(monkeypatch):
     c = np.stack([clear[:8], tied_c, clear[8:16]])
     calls = _count_rule_blocks(monkeypatch)
     got = kmeans._assign_labels(x, c)
-    assert calls and all(shape[0] == 1 for shape in calls)
+    # A stack is not screened: every block reaches the rule with all 3 problems.
+    assert calls == [(3, stop - start) for start, stop in kmeans._row_blocks(300, 8)]
     for f in range(3):
         assert np.array_equal(got[f], assign_labels_v040(x[f], c[f]))
